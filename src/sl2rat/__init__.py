@@ -93,7 +93,6 @@ from .rep import (
     restrict_to_invariant_subspace,
     validate,
 )
-from .semilinear import SemiOp
 from .shifts import ShiftClass, canonical_shift_rep, shift_offset
 
 __version__ = "0.1.0"

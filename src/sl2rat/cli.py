@@ -12,6 +12,7 @@ same schema with polynomial entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -373,9 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `execute` reuses; argparse keeps no state between parses."""
+    return build_parser()
+
+
 def execute(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.fn(args)
     except Sl2RatError as exc:

@@ -3,9 +3,12 @@
 Pipeline: Yun squarefree decomposition, then Zassenhaus on each squarefree
 part (factor mod a good odd prime with distinct-degree / Cantor-Zassenhaus
 splitting, quadratic multifactor Hensel lifting up to a Mignotte-style
-bound, subset recombination with trial division).  Everything is
-deterministic: primes are probed in increasing order, the equal-degree
-splitter draws from a fixed-seed generator, and factor lists are sorted.
+bound, subset recombination with exact integer trial division).  One set
+of dense (Z/m)[x] helpers serves both the factoring mod p (m = p) and the
+Hensel lifting mod p^k: division needs only that the divisor's lead is a
+unit mod m.  Everything is deterministic: primes are probed in increasing
+order, the equal-degree splitter draws from a fixed-seed generator, and
+factor lists are sorted.
 """
 from __future__ import annotations
 
@@ -13,14 +16,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .poly import Poly, poly_gcd, _to_int_primitive
+from .poly import Poly, poly_gcd, _int_primitive, _to_int_primitive
 
 IntPoly = Tuple[int, ...]
 
 
-# -- arithmetic in GF(p)[x], dense ascending int lists -------------------
+# -- arithmetic in (Z/m)[x], dense ascending int lists ---------------------
 
 
 def _trim(a: List[int]) -> List[int]:
@@ -29,103 +32,106 @@ def _trim(a: List[int]) -> List[int]:
     return a
 
 
-def _gf_red(a: Sequence[int], p: int) -> List[int]:
-    return _trim([c % p for c in a])
+def _zm_red(a: Sequence[int], m: int) -> List[int]:
+    return _trim([c % m for c in a])
 
 
-def _gf_add(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+def _zm_add(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+        out[i] = (out[i] + c) % m
     return _trim(out)
 
 
-def _gf_sub(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+def _zm_sub(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
+        out[i] = (out[i] - c) % m
     return _trim(out)
 
 
-def _gf_mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+def _zm_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = (out[i + j] + ai * bj) % m
     return _trim(out)
 
 
-def _gf_divmod(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[List[int], List[int]]:
+def _zm_scale(a: Sequence[int], c: int, m: int) -> List[int]:
+    return _trim([(v * c) % m for v in a])
+
+
+def _zm_monic(a: Sequence[int], m: int) -> List[int]:
+    if not a:
+        return []
+    return _zm_scale(a, pow(a[-1], -1, m), m)
+
+
+def _zm_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int], List[int]]:
+    """Division in (Z/m)[x]; the lead of b must be a unit mod m."""
     if not b:
-        raise ZeroDivisionError("division by zero in GF(p)[x]")
+        raise ZeroDivisionError("division by zero in (Z/m)[x]")
     rem = list(a)
     db = len(b) - 1
-    inv_lb = pow(b[-1], p - 2, p)
+    inv_lb = pow(b[-1], -1, m)
     if len(rem) - 1 < db:
         return [], _trim(rem)
     quo = [0] * (len(rem) - db)
     for k in range(len(rem) - db - 1, -1, -1):
-        c = (rem[k + db] * inv_lb) % p
+        c = (rem[k + db] * inv_lb) % m
         quo[k] = c
         if c:
             for i, bc in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * bc) % p
+                rem[k + i] = (rem[k + i] - c * bc) % m
     return _trim(quo), _trim(rem)
 
 
-def _gf_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    return _gf_divmod(a, b, p)[1]
+def _zm_rem(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    return _zm_divmod(a, b, m)[1]
 
 
-def _gf_monic(a: Sequence[int], p: int) -> List[int]:
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return _trim([(c * inv) % p for c in a])
-
-
-def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+def _zm_gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     a, b = list(a), list(b)
     while b:
-        a, b = b, _gf_mod(a, b, p)
-    return _gf_monic(a, p)
+        a, b = b, _zm_rem(a, b, p)
+    return _zm_monic(a, p)
 
 
-def _gf_xgcd(a: Sequence[int], b: Sequence[int], p: int):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
+def _zm_xgcd(a: Sequence[int], b: Sequence[int], p: int):
+    """Extended gcd mod a prime: returns (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = list(a), list(b)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _zm_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+        s0, s1 = s1, _zm_sub(s0, _zm_mul(q, s1, p), p)
+        t0, t1 = t1, _zm_sub(t0, _zm_mul(q, t1, p), p)
     if not r0:
         return [], s0, t0
-    inv = pow(r0[-1], p - 2, p)
-    scale = lambda u: _trim([(c * inv) % p for c in u])
-    return scale(r0), scale(s0), scale(t0)
+    inv = pow(r0[-1], -1, p)
+    return _zm_scale(r0, inv, p), _zm_scale(s0, inv, p), _zm_scale(t0, inv, p)
 
 
-def _gf_pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> List[int]:
+def _zm_pow_mod(a: Sequence[int], e: int, mod: Sequence[int], m: int) -> List[int]:
     result = [1]
-    base = _gf_mod(a, mod, p)
+    base = _zm_rem(a, mod, m)
     while e:
         if e & 1:
-            result = _gf_mod(_gf_mul(result, base, p), mod, p)
-        base = _gf_mod(_gf_mul(base, base, p), mod, p)
+            result = _zm_rem(_zm_mul(result, base, m), mod, m)
+        base = _zm_rem(_zm_mul(base, base, m), mod, m)
         e >>= 1
     return result
 
 
-def _gf_deriv(a: Sequence[int], p: int) -> List[int]:
-    return _trim([(i * c) % p for i, c in enumerate(a)][1:])
+def _zm_deriv(a: Sequence[int], m: int) -> List[int]:
+    return _trim([(i * c) % m for i, c in enumerate(a)][1:])
 
 
 # -- factorization in GF(p)[x] -------------------------------------------
@@ -139,13 +145,14 @@ def _distinct_degree(f: List[int], p: int) -> List[Tuple[List[int], int]]:
     d = 0
     while len(fcur) - 1 >= 2 * (d + 1):
         d += 1
-        h = _gf_pow_mod(h, p, fcur, p)
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), fcur, p)
+        h = _zm_pow_mod(h, p, fcur, p)
+        g = _zm_gcd(_zm_sub(h, [0, 1], p), fcur, p)
         if len(g) > 1:
             out.append((g, d))
-            fcur, r = _gf_divmod(fcur, g, p)
-            assert not r
-            h = _gf_mod(h, fcur, p)
+            fcur, r = _zm_divmod(fcur, g, p)
+            if r:
+                raise ArithmeticError("distinct-degree factor does not divide")
+            h = _zm_rem(h, fcur, p)
     if len(fcur) > 1:
         out.append((fcur, len(fcur) - 1))
     return out
@@ -155,24 +162,24 @@ def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List
     """Cantor-Zassenhaus split of monic squarefree f into degree-d factors (p odd)."""
     n = len(f) - 1
     if n == d:
-        return [_gf_monic(f, p)]
+        return [_zm_monic(f, p)]
     e = (p ** d - 1) // 2
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _trim(a)
-        if len(a) <= 0:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if not a:
             continue
-        g = _gf_gcd(a, f, p)
+        g = _zm_gcd(a, f, p)
         if len(g) > 1:
             left = g
         else:
-            b = _gf_pow_mod(a, e, f, p)
-            g = _gf_gcd(_gf_sub(b, [1], p), f, p)
+            b = _zm_pow_mod(a, e, f, p)
+            g = _zm_gcd(_zm_sub(b, [1], p), f, p)
             if len(g) <= 1 or len(g) == len(f):
                 continue
             left = g
-        right, r = _gf_divmod(f, left, p)
-        assert not r
+        right, r = _zm_divmod(f, left, p)
+        if r:
+            raise ArithmeticError("equal-degree split does not divide")
         return sorted(
             _equal_degree(left, d, p, rng) + _equal_degree(right, d, p, rng)
         )
@@ -180,7 +187,7 @@ def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List
 
 def _gf_factor_squarefree(f: List[int], p: int, rng: random.Random) -> List[List[int]]:
     out: List[List[int]] = []
-    for g, d in _distinct_degree(_gf_monic(f, p), p):
+    for g, d in _distinct_degree(_zm_monic(f, p), p):
         out.extend(_equal_degree(g, d, p, rng))
     return sorted(out)
 
@@ -188,109 +195,53 @@ def _gf_factor_squarefree(f: List[int], p: int, rng: random.Random) -> List[List
 # -- Hensel lifting --------------------------------------------------------
 
 
-def _z_red(a: Sequence[int], m: int) -> List[int]:
-    return _trim([c % m for c in a])
-
-
-def _z_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _trim(out)
-
-
-def _z_sub(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _trim(out)
-
-
-def _z_add(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _trim(out)
-
-
-def _z_divmod_monic(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int], List[int]]:
-    """Division by a monic polynomial in (Z/m)[x]."""
-    assert b and b[-1] % m == 1
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _trim(rem)
-    quo = [0] * (len(rem) - db)
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db] % m
-        quo[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * bc) % m
-    return _trim(quo), _trim(rem)
-
-
 def _hensel_step(m: int, f, g, h, s, t):
     """One quadratic Hensel step: lifts f = g*h and s*g + t*h = 1 from mod m to mod m^2."""
     m2 = m * m
-    e = _z_sub(f, _z_mul(g, h, m2), m2)
-    q, r = _z_divmod_monic(_z_mul(s, e, m2), h, m2)
-    g1 = _z_add(_z_add(g, _z_mul(t, e, m2), m2), _z_mul(q, g, m2), m2)
-    h1 = _z_add(h, r, m2)
-    b = _z_sub(_z_add(_z_mul(s, g1, m2), _z_mul(t, h1, m2), m2), [1], m2)
-    c, d = _z_divmod_monic(_z_mul(s, b, m2), h1, m2)
-    s1 = _z_sub(s, d, m2)
-    t1 = _z_sub(_z_sub(t, _z_mul(t, b, m2), m2), _z_mul(c, g1, m2), m2)
+    e = _zm_sub(f, _zm_mul(g, h, m2), m2)
+    q, r = _zm_divmod(_zm_mul(s, e, m2), h, m2)
+    g1 = _zm_add(_zm_add(g, _zm_mul(t, e, m2), m2), _zm_mul(q, g, m2), m2)
+    h1 = _zm_add(h, r, m2)
+    b = _zm_sub(_zm_add(_zm_mul(s, g1, m2), _zm_mul(t, h1, m2), m2), [1], m2)
+    c, d = _zm_divmod(_zm_mul(s, b, m2), h1, m2)
+    s1 = _zm_sub(s, d, m2)
+    t1 = _zm_sub(_zm_sub(t, _zm_mul(t, b, m2), m2), _zm_mul(c, g1, m2), m2)
     return g1, h1, s1, t1
 
 
-def _hensel_pair(f, g, h, s, t, p: int, target: int):
-    """Lift f = g*h (mod p) to mod p^(2^k) >= target."""
-    m = p
-    while m < target:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
-    return g, h, m
-
-
-def _hensel_lift_list(f: List[int], lc: int, facs: List[List[int]], p: int, target: int) -> List[List[int]]:
-    """Lift monic factors mod p of f (lc*prod(facs) = f mod p) to mod p^k >= target.
-
-    Returns monic factors mod m; f = lc * prod(factors) mod m.
-    """
-    if len(facs) == 1:
-        m = p
-        while m < target:
-            m = m * m
-        inv = pow(lc, -1, m)
-        return [_z_red([c * inv for c in f], m)]
-    half = len(facs) // 2
-    gs, hs = facs[:half], facs[half:]
-    g = [lc % p]
-    for u in gs:
-        g = _gf_mul(g, u, p)
-    h = [1]
-    for u in hs:
-        h = _gf_mul(h, u, p)
-    gg, ss, tt = _gf_xgcd(g, h, p)
-    assert gg == [1], "mod-p factors not coprime"
-    G, H, m = _hensel_pair(_z_red(f, _pow_at_least(p, target)), g, h, ss, tt, p, target)
-    left = _hensel_lift_list(G, lc, gs, p, target)
-    right = _hensel_lift_list(H, 1, hs, p, target)
-    return left + right
-
-
 def _pow_at_least(p: int, target: int) -> int:
+    """The least p^(2^k) that is >= target."""
     m = p
     while m < target:
         m = m * m
     return m
+
+
+def _hensel_lift_list(f: List[int], lc: int, facs: List[List[int]], p: int, target: int) -> List[List[int]]:
+    """Lift monic factors mod p of f (lc*prod(facs) = f mod p) to mod m = _pow_at_least(p, target).
+
+    Returns monic factors mod m; f = lc * prod(factors) mod m.
+    """
+    m = _pow_at_least(p, target)
+    if len(facs) == 1:
+        return [_zm_scale(f, pow(lc, -1, m), m)]
+    half = len(facs) // 2
+    gs, hs = facs[:half], facs[half:]
+    g = [lc % p]
+    for u in gs:
+        g = _zm_mul(g, u, p)
+    h = [1]
+    for u in hs:
+        h = _zm_mul(h, u, p)
+    gg, s, t = _zm_xgcd(g, h, p)
+    if gg != [1]:
+        raise ArithmeticError("mod-p factors are not coprime")
+    f = _zm_red(f, m)
+    q = p
+    while q < m:
+        g, h, s, t = _hensel_step(q, f, g, h, s, t)
+        q = q * q
+    return _hensel_lift_list(g, lc, gs, p, target) + _hensel_lift_list(h, 1, hs, p, target)
 
 
 # -- Zassenhaus over Z ------------------------------------------------------
@@ -312,21 +263,22 @@ def _symmetric(a: Sequence[int], m: int) -> List[int]:
     return [c - m if c > half else c for c in a]
 
 
-def _int_primitive_signed(a: Sequence[int]) -> Tuple[int, ...]:
-    g = 0
-    for v in a:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return ()
-    sign = -1 if a[-1] < 0 else 1
-    return tuple(v // (g * sign) for v in a)
-
-
-def _int_poly_divides(a: IntPoly, f: IntPoly) -> bool:
-    q, r = divmod(Poly(f), Poly(a))
-    if not r.is_zero():
-        return False
-    return all(c.denominator == 1 for c in q.coeffs)
+def _int_exact_quo(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
+    """The quotient f / g when g divides f in Z[x], else None (f nonzero)."""
+    rem = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    quo = [0] * (len(rem) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + dg], lg)
+        if r:
+            return None
+        quo[k] = c
+        if c:
+            for i, gc in enumerate(g):
+                rem[k + i] -= c * gc
+    if any(rem):
+        return None
+    return tuple(quo)
 
 
 def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
@@ -341,10 +293,10 @@ def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
     for p in _primes():
         if lc % p == 0:
             continue
-        fp = _gf_red(f, p)
+        fp = _zm_red(f, p)
         if len(fp) - 1 != n:
             continue
-        if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) > 1:
+        if len(_zm_gcd(fp, _zm_deriv(fp, p), p)) > 1:
             continue
         break
     mod_facs = _gf_factor_squarefree(fp, p, rng)
@@ -368,14 +320,14 @@ def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
             for combo in itertools.combinations(index, size):
                 g = [lc_cur % m]
                 for i in combo:
-                    g = _z_mul(g, lifted[i], m)
-                cand = _int_primitive_signed(tuple(_symmetric(g, m)))
+                    g = _zm_mul(g, lifted[i], m)
+                cand = _int_primitive(_symmetric(g, m))
                 if not cand:
                     continue
-                if _int_poly_divides(cand, fcur):
+                quo = _int_exact_quo(fcur, cand)
+                if quo is not None:
                     result.append(cand)
-                    quo = Poly(fcur) // Poly(cand)
-                    fcur = tuple(int(c) for c in quo.coeffs)
+                    fcur = quo
                     lc_cur = fcur[-1]
                     index = [i for i in index if i not in combo]
                     found = True
@@ -384,7 +336,7 @@ def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
                 break
         size += 1
     if len(fcur) > 1:
-        result.append(_int_primitive_signed(fcur))
+        result.append(_int_primitive(fcur))
     return result
 
 
@@ -423,8 +375,7 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
         return lead, []
     out: List[Tuple[Poly, int]] = []
     for part, mult in squarefree_decomposition(p):
-        _, ints = _to_int_primitive(part)
-        for fac in _factor_squarefree_int(ints):
+        for fac in _factor_squarefree_int(_to_int_primitive(part)):
             out.append((Poly(fac).monic(), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return lead, out

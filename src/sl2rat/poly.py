@@ -247,20 +247,22 @@ def _coerce(x) -> Optional[Poly]:
 # -- gcd machinery (primitive PRS over the integers) -------------------
 
 
-def _to_int_primitive(p: Poly) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Write p = content * primitive with integer primitive, positive lead."""
-    if p.is_zero():
-        return Fraction(0), ()
+def _int_primitive(a: Sequence[int]) -> Tuple[int, ...]:
+    g = 0
+    for v in a:
+        g = math.gcd(g, abs(v))
+    if g == 0:
+        return ()
+    sign = -1 if a[-1] < 0 else 1
+    return tuple(v // (g * sign) for v in a)
+
+
+def _to_int_primitive(p: Poly) -> Tuple[int, ...]:
+    """The primitive integer polynomial with positive lead that is a rational multiple of p."""
     den = 1
     for c in p.coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    sign = -1 if ints[-1] < 0 else 1
-    ints = [v // (g * sign) for v in ints]
-    return Fraction(g * sign, den), tuple(ints)
+    return _int_primitive([int(c * den) for c in p.coeffs])
 
 
 def _int_prem(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
@@ -283,24 +285,14 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     return tuple(a)
 
 
-def _int_primitive(a: Sequence[int]) -> Tuple[int, ...]:
-    g = 0
-    for v in a:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return ()
-    sign = -1 if a[-1] < 0 else 1
-    return tuple(v // (g * sign) for v in a)
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd over the rationals, computed with a primitive integer PRS."""
     if p.is_zero():
         return q.monic() if not q.is_zero() else Poly.zero()
     if q.is_zero():
         return p.monic()
-    _, a = _to_int_primitive(p)
-    _, b = _to_int_primitive(q)
+    a = _to_int_primitive(p)
+    b = _to_int_primitive(q)
     if len(a) < len(b):
         a, b = b, a
     while b:

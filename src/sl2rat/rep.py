@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import (
     LevelOutsideBaseField,
@@ -32,7 +32,6 @@ from .factor import factor_poly
 from .matrix import Mat
 from .poly import Poly, mu_roots, pi_mu, poly_lcm
 from .ratfunc import RatFunc, as_ratfunc
-from .semilinear import SemiOp
 
 Scalar = Union[int, Fraction]
 
@@ -44,12 +43,6 @@ class RationalRep:
     dim: int
     A: Mat
     B: Mat
-
-    def lowering(self) -> SemiOp:
-        return SemiOp(self.A, -1)
-
-    def raising(self) -> SemiOp:
-        return SemiOp(self.B, +1)
 
     def __str__(self) -> str:
         return f"RationalRep(dim={self.dim}, A={self.A}, B={self.B})"
@@ -120,12 +113,6 @@ def validate(rep: RationalRep) -> RationalRep:
 
 def make_rep(A: Mat, B: Mat) -> RationalRep:
     return validate(RationalRep(A.nrows, A, B))
-
-
-def rep_from_strings(l1_rows: Sequence[Sequence[str]], lm1_rows: Sequence[Sequence[str]]) -> RationalRep:
-    from .matrix import mat_from_strings
-
-    return make_rep(mat_from_strings(lm1_rows), mat_from_strings(l1_rows))
 
 
 # -- Casimir analysis ---------------------------------------------------------

@@ -3,8 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from sl2rat.factor import factor_poly, monic_divisors, rational_roots, squarefree_decomposition
-from sl2rat.poly import Poly, pi_mu
+from sl2rat.factor import (
+    _gf_factor_squarefree,
+    _hensel_lift_list,
+    _pow_at_least,
+    _zm_deriv,
+    _zm_gcd,
+    _zm_mul,
+    _zm_red,
+    factor_poly,
+    monic_divisors,
+    rational_roots,
+    squarefree_decomposition,
+)
+from sl2rat.poly import Poly, _to_int_primitive, pi_mu
 
 
 Z = Poly.variable()
@@ -58,6 +70,10 @@ KNOWN_IRREDUCIBLE = [
     Z ** 2 - Z - 1,       # disc 5
     Z ** 4 + 1,           # cyclotomic, irreducible over Q
     Z ** 3 - 2,           # no rational root
+    # Swinnerton-Dyer S2, S3: they split into factors of degree <= 2 mod
+    # every prime, the worst case for subset recombination
+    Z ** 4 - 10 * Z ** 2 + 1,
+    Z ** 8 - 40 * Z ** 6 + 352 * Z ** 4 - 960 * Z ** 2 + 576,
 ]
 
 
@@ -107,3 +123,59 @@ def test_monic_divisors():
 
 def test_rational_roots():
     assert rational_roots((Z - 2) * (Z + Fraction(1, 3)) * (Z ** 2 + 1)) == [Fraction(-1, 3), 2]
+
+
+# Products whose integer primitive parts have a non-unit lead, so the lifted
+# factors and the trial divisions carry a lead other than 1.
+NON_MONIC = [2 * Z + 1, 3 * Z - 1, 5 * Z ** 2 - 3, Z ** 2 + 1, Z ** 4 - 10 * Z ** 2 + 1]
+
+
+def _non_monic_products(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = Poly.constant(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 4])))
+        for _ in range(rng.randint(2, 5)):
+            f = rng.choice(NON_MONIC).shifted(rng.randint(-3, 3))
+            p = p * f ** rng.choice([1, 1, 2])
+        yield p
+
+
+def test_factor_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = [((2 * Z + 1) * (3 * Z - 1) * (Z ** 2 + 1)).shifted(k) for k in range(-2, 3)]
+    cases += list(_non_monic_products(77, 30))
+    for p in cases:
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(p.coeffs))
+        content, sym_facs = sympy.factor_list(expr)
+        expected = {}
+        lead = Fraction(str(content))
+        for g, mult in sym_facs:
+            gp = sympy.Poly(g, x)
+            lead *= Fraction(str(gp.LC())) ** mult
+            monic = Poly(Fraction(str(c)) for c in reversed(gp.monic().all_coeffs()))
+            expected[monic] = expected.get(monic, 0) + mult
+        got_lead, got = factor_poly(p)
+        assert got_lead == lead, p
+        assert dict(got) == expected, p
+
+
+def test_hensel_lift_multiplies_back():
+    for p in _non_monic_products(5, 12):
+        f = _to_int_primitive(squarefree_decomposition(p)[0][0])
+        if len(f) < 3:
+            continue
+        lc = f[-1]
+        prime = next(q for q in (3, 5, 7, 11, 13, 17, 19, 23)
+                     if lc % q and len(_zm_red(f, q)) == len(f)
+                     and len(_zm_gcd(_zm_red(f, q), _zm_deriv(_zm_red(f, q), q), q)) == 1)
+        mod_facs = _gf_factor_squarefree(_zm_red(f, prime), prime, random.Random(1))
+        target = 10 ** 12
+        m = _pow_at_least(prime, target)
+        lifted = _hensel_lift_list(list(f), lc, mod_facs, prime, target)
+        assert [_zm_red(g, prime) for g in lifted] == mod_facs
+        assert all(g[-1] == 1 for g in lifted)
+        prod = [1]
+        for g in lifted:
+            prod = _zm_mul(prod, g, m)
+        assert prod == _zm_red([c * pow(lc, -1, m) for c in f], m)

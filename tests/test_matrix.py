@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from sl2rat.errors import SingularMatrix, SingularOperator
+from sl2rat.errors import SingularMatrix
 from sl2rat.matrix import Mat, mat_from_strings
 from sl2rat.ratfunc import RatFunc
-from sl2rat.semilinear import SemiOp
 
 Z = RatFunc.variable()
 
@@ -71,55 +70,6 @@ def test_kron_mixed_product():
 def test_mat_from_strings():
     m = mat_from_strings([["z", "1/(z-1)"], ["0", "2"]])
     assert m[0, 1] == 1 / (Z - 1)
-
-
-def test_semiop_compose_spec_examples():
-    r = SemiOp(Mat([[Z]]), 1)
-    s = SemiOp(Mat([[Z + 5]]), 1)
-    rs = r.compose(s)
-    assert rs.twist == 2
-    assert rs.mat == Mat([[Z * (Z + 6)]])  # r(z) * s(z+1)
-
-    m0 = SemiOp(Mat([[2]]), 0)
-    n0 = SemiOp(Mat([[Z]]), 0)
-    assert m0.compose(n0) == SemiOp(Mat([[2 * Z]]), 0)
-
-    b = SemiOp(Mat([[Z]]), 1)
-    a = SemiOp(Mat([[Z - 1]]), -1)
-    assert b.compose(a).twist == 0
-    assert b.compose(a).mat == Mat([[Z * Z]])  # B(z) * A(z+1)
-
-
-def test_semiop_invert():
-    op = SemiOp(Mat([[Z]]), 1)
-    inv = op.invert()
-    assert inv == SemiOp(Mat([[1 / (Z - 1)]]), -1)
-    assert op.compose(inv) == SemiOp.identity(1)
-    assert inv.compose(op) == SemiOp.identity(1)
-    assert SemiOp.identity(3).invert() == SemiOp.identity(3)
-    with pytest.raises(SingularOperator):
-        SemiOp(Mat([[0]]), 1).invert()
-
-
-def test_semiop_associativity_and_twist_additivity():
-    rng = random.Random(9)
-    for _ in range(10):
-        ops = [SemiOp(rand_mat(rng, 2, 2), rng.randint(-2, 2)) for _ in range(3)]
-        a, b, c = ops
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
-        assert a.compose(b).twist == a.twist + b.twist
-        ident = SemiOp.identity(2)
-        assert a.compose(ident) == a == ident.compose(a)
-
-
-def test_semiop_double_invert():
-    rng = random.Random(10)
-    for _ in range(8):
-        m = rand_mat(rng, 2, 2)
-        if not m.is_invertible():
-            continue
-        op = SemiOp(m, rng.randint(-2, 2))
-        assert op.invert().invert() == op
 
 
 def test_kernel_solve_surface():
