@@ -21,7 +21,7 @@ from typing import Any, Dict, List
 from . import __version__
 from .errors import Sl2RatError
 from .extension import ExtDatum, exponent_of, ext_build, ext_class_equal, ext_is_casimir, solve_add_diff
-from .k0 import FactorKey, K0Class, OpaqueKey, Rank1Key, devissage
+from .k0 import FactorKey, K0Class, Rank1Key, devissage
 from .matrix import mat_from_strings
 from .monoidal import dual, internal_hom, tensor
 from .parser import parse_ratfunc
@@ -103,15 +103,15 @@ def _key_to_doc(key: FactorKey) -> Dict:
     if isinstance(key, Rank1Key):
         doc = _invariant_to_doc(key.invariant)
         doc["kind"] = "rank1"
-        return doc
-    assert isinstance(key, OpaqueKey)
-    return {
-        "kind": "opaque",
-        "level": str(key.level),
-        "dim": key.dim,
-        "witness": key.witness,
-        "certified_irreducible": key.certified_irreducible,
-    }
+    else:
+        doc = {
+            "kind": "opaque",
+            "level": str(key.level),
+            "dim": key.dim,
+            "witness": key.witness,
+            "certified_irreducible": key.certified_irreducible,
+        }
+    return doc
 
 
 def _class_to_doc(cls: K0Class) -> List[Dict]:

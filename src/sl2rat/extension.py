@@ -88,7 +88,8 @@ def ext_is_casimir(datum: ExtDatum) -> bool:
     t_zero = datum.T.is_zero()
     built = ext_build(datum)
     n = exponent_of(built)
-    assert (n == 1) == t_zero, "exponent must witness the T = 0 criterion"
+    if (n == 1) != t_zero:
+        raise ArithmeticError("exponent must witness the T = 0 criterion")
     return t_zero
 
 
@@ -109,7 +110,8 @@ def _solve_add_poly(s: Poly) -> Poly:
         rows.append([b.coefficient(power) for b in basis])
         rhs.append(s.coefficient(power))
     sol = Mat(rows).solve(Mat.column(rhs))
-    assert sol is not None, "telescoping system is always solvable"
+    if sol is None:
+        raise ArithmeticError("telescoping system is always solvable")
     phi = Poly.zero()
     for k in range(1, d + 1):
         c = sol[k - 1, 0]
@@ -154,7 +156,8 @@ def solve_add_diff(s) -> Optional[RatFunc]:
                 # term partial(z - v) / rep(z - v)^j
                 phi = phi + RatFunc(partial.shifted(-v), rep.shifted(-v) ** j)
     result = phi
-    assert result.shifted(1) - result == s, "constructed solution must verify exactly"
+    if result.shifted(1) - result != s:
+        raise ArithmeticError("constructed solution must verify exactly")
     return result
 
 

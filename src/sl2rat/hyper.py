@@ -4,16 +4,17 @@
 sum_i p_i(z) y(z+i) = 0 through an exact degree bound (integer roots of the
 first non-vanishing indicial function) plus linear algebra.
 
-`hyper_ratios` enumerates rational certificates xi with
+`hyper_search` finds a rational certificate xi with
 
     sum_i a_i(z) * xi(z) xi(z+1) ... xi(z+i-1) = 0,
 
-i.e. the ratios y(z+1)/y(z) of hypergeometric solutions, by the classic
+i.e. the ratio y(z+1)/y(z) of a hypergeometric solution, by the classic
 divisor-pair search: xi = c * (A/B) * C(z+1)/C(z) with A a monic divisor of
 the trailing coefficient, B one of the (shifted) leading coefficient, c a
 nonzero rational root of the induced leading-term equation, and C a
 polynomial solution of the transformed recurrence.  The search is complete
-for rational certificates and fully deterministic.
+for rational certificates and fully deterministic, so finding none proves
+absence.
 """
 from __future__ import annotations
 
@@ -66,7 +67,8 @@ def poly_degree_candidates(coeffs: Sequence[Poly]) -> List[int]:
         if not sigma.is_zero():
             k0 = k
             break
-    assert k0 is not None, "some indicial function must be nonzero"
+    if k0 is None:
+        raise ArithmeticError("some indicial function must be nonzero")
     candidates = set(range(0, max(0, k0 - b)))
     _, facs = factor_poly(sigma)
     for fac, _ in facs:
@@ -136,18 +138,6 @@ def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
                 for C in poly_solutions(scaled):
                     xi = RatFunc.constant(c) * RatFunc(A, B) * RatFunc(C.shifted(1)) / RatFunc(C)
                     yield ("found", xi, cap)
-
-
-def hyper_ratios(coeffs: Sequence[Poly]) -> Iterator[Tuple[RatFunc, int]]:
-    """Yield (certificate xi, degree cap used) for every candidate found.
-
-    `coeffs` are polynomial recurrence coefficients a_0 ... a_m with
-    a_0, a_m nonzero.  Complete: every rational certificate arises from
-    some divisor pair and root, so an exhausted iterator proves absence.
-    """
-    for kind, xi, cap in _search(coeffs):
-        if kind == "found":
-            yield xi, cap
 
 
 def hyper_search(coeffs: Sequence[Poly]) -> Tuple[Optional[RatFunc], int]:

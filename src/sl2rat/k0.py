@@ -5,8 +5,11 @@ roots of the Casimir minimal polynomial, refine each generalized component
 through its canonical filtration, then extract composition factors of the
 Casimir quotients by repeatedly splitting off one-dimensional submodules
 (then quotients) found through cyclic-vector reduction and the
-hypergeometric certificate search.  Every split carries an exact witness;
-the certificate tree serializes to a stable text form.
+hypergeometric certificate search.  Both searches read only the raising
+matrix: a rank-1 submodule is found as a rank-1 quotient of the raising
+matrix B(z)^{-T} (the dual's, on a Casimir module), with no dual module
+built.  Every split carries an exact witness; the certificate tree
+serializes to a stable text form.
 
 Factor keys are either Rank1 (a Picard invariant, faithful) or Opaque
 (level, dimension, canonical serialization of a Casimir witness, with an
@@ -24,9 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import CyclicVectorNotFound
 from .hyper import hyper_search
 from .matrix import Mat
-from .monoidal import dual
 from .picard import PicInvariant, pic_invariant
-from .poly import Poly, poly_lcm
+from .poly import Poly, poly_gcd, poly_lcm
 from .ratfunc import RatFunc
 from .rep import (
     RationalRep,
@@ -131,8 +133,6 @@ def k0_eq(a: K0Class, b: K0Class) -> str:
     diff = k0_add(a, k0_neg(b))
     if not diff.entries:
         return "Equal"
-    if all(isinstance(k, Rank1Key) for k, _ in diff.entries):
-        return "NotEqual"
     if any(isinstance(k, Rank1Key) for k, _ in diff.entries):
         return "NotEqual"
     buckets: Dict[Tuple[Fraction, int], int] = {}
@@ -146,11 +146,7 @@ def k0_eq(a: K0Class, b: K0Class) -> str:
 # -- rank-1 submodule / quotient search ----------------------------------------------
 
 
-def _raising_apply(B: Mat, vec: Mat) -> Mat:
-    return B * vec.shifted(1)
-
-
-def _cyclic_reduction(rep: RationalRep, seed: int) -> Tuple[List[RatFunc], Mat]:
+def _cyclic_reduction(B: Mat, seed: int) -> Tuple[List[RatFunc], Mat]:
     """Coefficients c with phi^m v = sum c_i phi^i v, plus the Krylov basis matrix.
 
     Constant vectors are not always cyclic (a scalar raising matrix fixes
@@ -158,7 +154,7 @@ def _cyclic_reduction(rep: RationalRep, seed: int) -> Tuple[List[RatFunc], Mat]:
     Vandermonde-style vector (1, z, ..., z^(m-1)) and then seeded random
     vectors with linear polynomial entries.
     """
-    m = rep.dim
+    m = B.nrows
     rng = random.Random(seed)
     candidates: List[Tuple[RatFunc, ...]] = [
         tuple(RatFunc.one() if i == j else RatFunc.zero() for i in range(m)) for j in range(m)
@@ -175,31 +171,36 @@ def _cyclic_reduction(rep: RationalRep, seed: int) -> Tuple[List[RatFunc], Mat]:
         attempts += 1
         vecs = [Mat.column(v)]
         for _ in range(m):
-            vecs.append(_raising_apply(rep.B, vecs[-1]))
+            vecs.append(B * vecs[-1].shifted(1))
         K = Mat.from_columns([w.col(0) for w in vecs[:m]])
         if K.rank() != m:
             continue
         sol = K.solve(vecs[m])
-        assert sol is not None
+        if sol is None:
+            raise ArithmeticError("a full-rank Krylov basis must span the next iterate")
         return [sol[i, 0] for i in range(m)], K
     raise CyclicVectorNotFound(f"no cyclic vector after {MAX_CYCLIC_ATTEMPTS} attempts")
 
 
-def _quotient_search(rep: RationalRep, seed: int) -> Tuple[Optional[Tuple[Tuple[RatFunc, ...], RatFunc]], int]:
+def _clear_denominators(fs: Sequence[RatFunc]) -> List[Poly]:
+    """Numerators after multiplying every entry by the lcm of the denominators."""
+    den = Poly.one()
+    for f in fs:
+        den = poly_lcm(den, f.den)
+    return [(f * RatFunc(den)).as_poly() for f in fs]
+
+
+def _quotient_search(B: Mat, seed: int) -> Tuple[Optional[Tuple[Tuple[RatFunc, ...], RatFunc]], int]:
     """Rank-1 quotient functional (p, lambda) with p(z) B(z) = lambda(z) p(z+1)."""
-    m = rep.dim
+    m = B.nrows
     if m == 1:
-        return ((RatFunc.one(),), rep.B[0, 0]), 0
-    c, K = _cyclic_reduction(rep, seed)
+        return ((RatFunc.one(),), B[0, 0]), 0
+    c, K = _cyclic_reduction(B, seed)
     if c[0].is_zero():
         # phi^m v in span of higher iterates only: cannot happen for automorphisms
         raise CyclicVectorNotFound("degenerate cyclic reduction")
-    # f = X^m - sum c_i X^i; clear denominators to polynomial coefficients
-    coeffs: List[RatFunc] = [-ci for ci in c] + [RatFunc.one()]
-    den = Poly.one()
-    for f in coeffs:
-        den = poly_lcm(den, f.den)
-    polys = [(f * RatFunc(den)).as_poly() for f in coeffs]
+    # f = X^m - sum c_i X^i with polynomial coefficients
+    polys = _clear_denominators([-ci for ci in c] + [RatFunc.one()])
     xi, cap = hyper_search(polys)
     if xi is None:
         return None, cap
@@ -209,23 +210,19 @@ def _quotient_search(rep: RationalRep, seed: int) -> Tuple[Optional[Tuple[Tuple[
         comp.append(xi * comp[-1].shifted(1))
     p_row = Mat.row(comp) * K.inverse()
     p = _normalize_covector(tuple(p_row.data[0]))
-    pb = Mat.row(p) * rep.B
+    pb = Mat.row(p) * B
     j = next(i for i, e in enumerate(p) if not e.is_zero())
     lam = pb[0, j] / p[j].shifted(1)
-    assert all(pb[0, i] == lam * p[i].shifted(1) for i in range(m)), "witness must verify"
+    if not all(pb[0, i] == lam * p[i].shifted(1) for i in range(m)):
+        raise ArithmeticError("witness must verify")
     return (p, lam), cap
 
 
 def _normalize_covector(v: Tuple[RatFunc, ...]) -> Tuple[RatFunc, ...]:
-    den = Poly.one()
-    for e in v:
-        den = poly_lcm(den, e.den)
-    nums = [(e * RatFunc(den)).as_poly() for e in v]
+    nums = _clear_denominators(v)
     g = Poly.zero()
-    from .poly import poly_gcd
-
     for p in nums:
-        g = poly_gcd(g, p) if not g.is_zero() else (p.monic() if not p.is_zero() else g)
+        g = poly_gcd(g, p)
     if not g.is_zero() and g.degree > 0:
         nums = [p // g for p in nums]
     lead = next(p.lead for p in nums if not p.is_zero())
@@ -235,15 +232,16 @@ def _normalize_covector(v: Tuple[RatFunc, ...]) -> Tuple[RatFunc, ...]:
 def find_rank1_quotient(rep: RationalRep, seed: int = 0):
     """(functional row, lambda) of a one-dimensional quotient, or None."""
     require_casimir(rep)
-    found, _ = _quotient_search(rep, seed)
+    found, _ = _quotient_search(rep.B, seed)
     return found
 
 
 def find_rank1_sub(rep: RationalRep, seed: int = 0):
     """(vector w, lambda) with B(z) w(z+1) = lambda(z) w(z), or None.
 
-    Realized through the dual: a submodule here is a quotient of the dual,
-    and the witness transports back as w = q^T with lambda = 1/lambda*.
+    A submodule here is a rank-1 quotient of the raising matrix B(z)^{-T},
+    which on a Casimir module is the dual's raising matrix; no dual module
+    is built.  The witness moves back as w = q^T with lambda = 1/lambda*.
     """
     require_casimir(rep)
     found, _ = _sub_search(rep, seed)
@@ -251,15 +249,14 @@ def find_rank1_sub(rep: RationalRep, seed: int = 0):
 
 
 def _sub_search(rep: RationalRep, seed: int):
-    dual_rep = dual(rep)
-    found, cap = _quotient_search(dual_rep, seed)
+    found, cap = _quotient_search(rep.B.inverse().transpose(), seed)
     if found is None:
         return None, cap
-    q, lam_star = found
-    w = q
+    w, lam_star = found
     lam = RatFunc.one() / lam_star
     wcol = Mat.column(w)
-    assert rep.B * wcol.shifted(1) == lam * wcol, "transported witness must verify"
+    if rep.B * wcol.shifted(1) != lam * wcol:
+        raise ArithmeticError("transported witness must verify")
     return (w, lam), cap
 
 
@@ -338,7 +335,7 @@ def _composition_leaves(rep: RationalRep, seed: int) -> Tuple[List[FactorLeaf], 
             quotient = quotient_by_invariant_subspace(r, Mat.from_columns([w]))
             recurse(quotient)
             return
-        quot, quot_cap = _quotient_search(r, seed)
+        quot, quot_cap = _quotient_search(r.B, seed)
         if quot is not None:
             p, lam = quot
             kernel = Mat.row(p).kernel()
@@ -356,10 +353,6 @@ def _composition_leaves(rep: RationalRep, seed: int) -> Tuple[List[FactorLeaf], 
         certified = r.dim <= 3
         if not certified:
             complete = False
-        if r.dim == 2:
-            # cross-check: for dim 2, absence of subs certifies irreducibility,
-            # and the dual search must agree
-            assert quot is None and sub is None
         leaves.append(
             FactorLeaf(
                 OpaqueKey(mu, r.dim, serialize_rep(r), certified),
@@ -400,5 +393,6 @@ def devissage(rep: RationalRep, seed: int = 0) -> Tuple[K0Class, DevissageTree]:
         comp_nodes.append(ComponentNode(comp.level, comp.exponent, comp.rep.dim, tuple(steps)))
     tree = DevissageTree(rep.dim, tuple(comp_nodes), complete)
     cls = K0Class.from_counts(counts)
-    assert k0_dim(cls) == rep.dim, "leaf dimensions must add up"
+    if k0_dim(cls) != rep.dim:
+        raise ArithmeticError("leaf dimensions must add up")
     return cls, tree

@@ -18,7 +18,8 @@ carriers is column-major: vec stacks the columns of an (m2 x m1) matrix.
 """
 from __future__ import annotations
 
-from typing import Callable, List
+from fractions import Fraction
+from typing import Callable, Tuple
 
 from .matrix import Mat
 from .poly import pi_mu
@@ -27,7 +28,6 @@ from .rep import (
     LevelComponent,
     RationalRep,
     casimir_matrix,
-    direct_sum,
     level_decompose,
     make_rep,
     rank1,
@@ -44,18 +44,20 @@ def _nilpotent_part(comp: LevelComponent) -> Mat:
     return C - Mat.diag([RatFunc.constant(comp.level)] * comp.rep.dim)
 
 
-def _tensor_components(c1: LevelComponent, c2: LevelComponent) -> RationalRep:
-    mu = c1.level + c2.level
+def _complete(mu: Fraction, B: Mat, M: Mat) -> Tuple[Mat, Mat]:
+    """(A, B) with A(z) = (pi_mu(z) Id - M) B(z-1)^{-1}."""
+    D = Mat.diag([RatFunc(pi_mu(mu))] * B.nrows) - M
+    return D * B.shifted(-1).inverse(), B
+
+
+def _tensor_components(c1: LevelComponent, c2: LevelComponent) -> Tuple[Mat, Mat]:
     B = c1.rep.B.kron(c2.rep.B)
     n1, n2 = c1.rep.dim, c2.rep.dim
     M = _nilpotent_part(c1).kron(Mat.identity(n2)) + Mat.identity(n1).kron(_nilpotent_part(c2))
-    D = Mat.diag([RatFunc(pi_mu(mu))] * (n1 * n2)) - M
-    A = D * B.shifted(-1).inverse()
-    return make_rep(A, B)
+    return _complete(c1.level + c2.level, B, M)
 
 
-def _hom_components(c1: LevelComponent, c2: LevelComponent) -> RationalRep:
-    mu = c2.level - c1.level
+def _hom_components(c1: LevelComponent, c2: LevelComponent) -> Tuple[Mat, Mat]:
     A1, B2 = c1.rep.A, c2.rep.B
     n1, n2 = c1.rep.dim, c2.rep.dim
     # L1 on the carrier of (m2 x m1) matrices Phi, vectorized column-major:
@@ -65,24 +67,18 @@ def _hom_components(c1: LevelComponent, c2: LevelComponent) -> RationalRep:
     M = _nilpotent_part(c1).transpose().kron(Mat.identity(n2)) + Mat.identity(n1).kron(
         _nilpotent_part(c2)
     )
-    D = Mat.diag([RatFunc(pi_mu(mu))] * (n1 * n2)) - M
-    A = D * B.shifted(-1).inverse()
-    return make_rep(A, B)
+    return _complete(c2.level - c1.level, B, M)
 
 
 def _pairwise(
     r1: RationalRep,
     r2: RationalRep,
-    combine: Callable[[LevelComponent, LevelComponent], RationalRep],
+    combine: Callable[[LevelComponent, LevelComponent], Tuple[Mat, Mat]],
 ) -> RationalRep:
-    blocks: List[RationalRep] = []
-    for c1 in level_decompose(r1):
-        for c2 in level_decompose(r2):
-            blocks.append(combine(c1, c2))
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = direct_sum(out, b)
-    return out
+    """Direct sum of the component blocks, validated once as a whole."""
+    comps2 = level_decompose(r2)
+    blocks = [combine(c1, c2) for c1 in level_decompose(r1) for c2 in comps2]
+    return make_rep(Mat.block_diag([A for A, _ in blocks]), Mat.block_diag([B for _, B in blocks]))
 
 
 def tensor(r1: RationalRep, r2: RationalRep) -> RationalRep:

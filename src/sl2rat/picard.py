@@ -135,7 +135,8 @@ def solve_mult_diff(f) -> Optional[RatFunc]:
                 for s in range(u + 1, v + 1):
                     den = den * rep.shifted(-s)
     t = RatFunc(num, den)
-    assert t / t.shifted(1) == f, "constructed solution must verify exactly"
+    if t / t.shifted(1) != f:
+        raise ArithmeticError("constructed solution must verify exactly")
     return t
 
 
@@ -171,6 +172,8 @@ def iso_rank1(r1rep, r2rep) -> IsoResult:
     if pic_invariant(mu1, r1) != pic_invariant(mu2, r2):
         return IsoResult(None, "InvariantMismatch")
     t = solve_mult_diff(r2 / r1)
-    assert t is not None, "equal invariants must admit an intertwiner"
-    assert r2 * t.shifted(1) == t * r1
+    if t is None:
+        raise ArithmeticError("equal invariants must admit an intertwiner")
+    if r2 * t.shifted(1) != t * r1:
+        raise ArithmeticError("intertwiner must verify exactly")
     return IsoResult(t, None)

@@ -278,7 +278,8 @@ def partial_fractions(f: RatFunc) -> Tuple[Poly, List[Tuple[Poly, int, Poly]]]:
         cofactor = f.den // qe
         if cofactor.degree > 0 or cofactor.coefficient(0) != 1:
             g, u, _ = poly_xgcd(cofactor, qe)
-            assert g == Poly.one()
+            if g != Poly.one():
+                raise ArithmeticError("cofactor and prime power must be coprime")
             c = (rem * u) % qe
         else:
             c = rem % qe

@@ -276,7 +276,8 @@ def _complete_basis(P: Mat) -> Mat:
         if candidate.rank() == len(cols) + 1:
             cols.append(e)
             current = candidate
-    assert len(cols) == n
+    if len(cols) != n:
+        raise ArithmeticError("unit vectors must complete the basis")
     return current
 
 
@@ -322,7 +323,8 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
         sub = restrict_to_invariant_subspace(rep, basis)
         out.append(LevelComponent(mu, mult, basis, sub))
         total += basis.ncols
-    assert total == rep.dim, "component dimensions must sum to the total"
+    if total != rep.dim:
+        raise ArithmeticError("component dimensions must sum to the total")
     return out
 
 
@@ -350,7 +352,8 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
             if candidate.rank() == len(cols) + 1:
                 cols.append(v)
         basis = Mat.from_columns(cols)
-        assert basis.ncols == len(ker), "kernel basis extension lost rank"
+        if basis.ncols != len(ker):
+            raise ArithmeticError("kernel basis extension lost rank")
         sub = restrict_to_invariant_subspace(rep, basis)
         if prev_dim == 0:
             quotient = sub
@@ -360,13 +363,15 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
             )
             quotient = quotient_by_invariant_subspace(sub, prefix)
         qmu = casimir_level(quotient)
-        assert qmu == mu, "filtration quotient must be Casimir of the component level"
+        if qmu != mu:
+            raise ArithmeticError("filtration quotient must be Casimir of the component level")
         if prev_quot_dim is not None and quotient.dim > prev_quot_dim:
             raise AssertionError("filtration quotient dimensions must be non-increasing")
         prev_quot_dim = quotient.dim
         steps.append(FiltrationStep(basis, quotient))
         prev_dim = basis.ncols
-    assert prev_dim == rep.dim, "filtration must exhaust the component"
+    if prev_dim != rep.dim:
+        raise ArithmeticError("filtration must exhaust the component")
     return Filtration(mu, tuple(steps))
 
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from sl2rat.hyper import hyper_ratios, hyper_search, poly_solutions
+from sl2rat.hyper import _search, hyper_search, poly_solutions
 from sl2rat.poly import Poly
 from sl2rat.ratfunc import RatFunc
 
@@ -82,7 +82,8 @@ def test_hyper_certificates_verify():
             -(u.shifted(1) * v + Poly.constant(w) * v * v.shifted(1)),
             v * v.shifted(1),
         ]
-        found = list(hyper_ratios(coeffs))
+        # every certificate the complete search enumerates, not only the first
+        found = [(xi, cap) for kind, xi, cap in _search(coeffs) if kind == "found"]
         assert found, (u, v, w)
         for xi, _ in found:
             assert certifies(coeffs, xi)

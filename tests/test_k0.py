@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_invertible_T, random_rank1_extension
+from helpers import build_corpus, random_invertible_T, random_rank1_extension
 from sl2rat.errors import NotCasimir
 from sl2rat.extension import ExtDatum, ext_build
 from sl2rat.k0 import (
@@ -21,9 +21,10 @@ from sl2rat.k0 import (
     serialize_rep,
 )
 from sl2rat.matrix import Mat
+from sl2rat.monoidal import dual
 from sl2rat.picard import pic_invariant, section
 from sl2rat.ratfunc import RatFunc
-from sl2rat.rep import casimir_from_L1, conjugate, direct_sum, rank1
+from sl2rat.rep import casimir_from_L1, conjugate, direct_sum, is_casimir, rank1
 
 Z = RatFunc.variable()
 
@@ -87,6 +88,26 @@ def test_witnesses_verify():
         p, lamq = foundq
         row = Mat.row(p)
         assert row * w.B == lamq * row.shifted(1)
+
+
+def test_sub_search_matches_the_dual_reference():
+    # a rank-1 sub is searched as a quotient of B(z)^{-T}; the dual module,
+    # built through internal Hom, is the independent reference for both
+    # that matrix and the transported witness
+    rng = random.Random(76)
+    exts = [ext_build(random_rank1_extension(rng)) for _ in range(15)]
+    corpus = [r for r in build_corpus(seed=20240, count=120) if 2 <= r.dim <= 3]
+    reps = [r for r in corpus + exts if is_casimir(r)]
+    assert len(reps) >= 40 and {r.dim for r in reps} == {2, 3}
+    for rep in reps:
+        d = dual(rep)
+        assert d.B == rep.B.inverse().transpose()
+        found = find_rank1_quotient(d)
+        expected = None
+        if found is not None:
+            q, lam_star = found
+            expected = (q, RatFunc.one() / lam_star)
+        assert find_rank1_sub(rep) == expected
 
 
 def test_composition_factors_spec_examples():
@@ -170,7 +191,7 @@ def test_k0_eq_semantics():
 
 
 def test_dim2_certification_cross_check():
-    # for dim 2, a missing sub certifies irreducibility; the dual search must agree
+    # for dim 2, a missing sub certifies irreducibility; the quotient search must agree
     w = irreducible_2dim()
     assert find_rank1_sub(w) is None and find_rank1_quotient(w) is None
 
