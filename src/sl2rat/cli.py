@@ -5,6 +5,14 @@ separators), a plain text rendering with --format text.  Exit codes: 0 on
 success, 1 on domain errors (with a structured diagnostic on stdout), 2 on
 usage errors (argparse, unreadable input file).
 
+Every subcommand is a function ``(doc, args) -> dict`` from the parsed input
+document to the output document; ``args`` is read only for ``--seed``.  The
+``COMMANDS`` table maps each subcommand name to its function and help text
+(``pic`` and ``ext`` map each action name to a function) and drives both
+argparse and dispatch: `execute` reads the document, runs the function,
+emits the result and turns domain errors into diagnostics, each in one
+place.  A field of the wrong JSON type is an `InputError`.
+
 Representation documents are {"dim": m, "L1": [[...]], "Lm1": [[...]]}
 with entries in the expression grammar; polynomial representations use the
 same schema with polynomial entries.
@@ -16,17 +24,18 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from . import __version__
 from .errors import Sl2RatError
 from .extension import ExtDatum, exponent_of, ext_build, ext_class_equal, ext_is_casimir, solve_add_diff
 from .k0 import FactorKey, K0Class, Rank1Key, devissage
-from .matrix import mat_from_strings
+from .matrix import Mat, mat_from_strings
 from .monoidal import dual, internal_hom, tensor
 from .parser import parse_ratfunc
 from .picard import PicInvariant, iso_rank1, pic_inverse, pic_invariant, pic_mul, solve_mult_diff
 from .poly import format_poly
+from .ratfunc import RatFunc
 from .rep import (
     PolynomialRep,
     RationalRep,
@@ -36,15 +45,15 @@ from .rep import (
     classify_rank1,
     cyclic_orbit,
     level_decompose,
+    rank1,
     rationalize,
+    require_casimir,
     validate,
 )
 
 
 class InputError(Sl2RatError):
     """Malformed input document."""
-
-    code = "InputError"
 
 
 def _load_doc(args) -> Any:
@@ -69,22 +78,45 @@ def _need(doc: Dict, key: str):
     return doc[key]
 
 
-def _rep_from_doc(doc: Dict) -> RationalRep:
-    dim = _need(doc, "dim")
-    l1 = _need(doc, "L1")
-    lm1 = _need(doc, "Lm1")
-    A = mat_from_strings(lm1)
-    B = mat_from_strings(l1)
+def _int(doc: Dict, key: str, name: str) -> int:
+    value = _need(doc, key)
+    if type(value) is not int:  # JSON true/false are bools, not integers
+        raise InputError(f"{name} must be an integer")
+    return value
+
+
+def _ratfunc(doc: Dict, key: str) -> RatFunc:
+    text = _need(doc, key)
+    if not isinstance(text, str):
+        raise InputError(f"field {key!r} must be a string")
+    return parse_ratfunc(text)
+
+
+def _matrix(doc: Dict, key: str) -> Mat:
+    rows = _need(doc, key)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
+    ):
+        raise InputError(f"field {key!r} must be a list of lists of strings")
+    return mat_from_strings(rows)
+
+
+def _operators(doc: Dict) -> Tuple[int, Mat, Mat]:
+    """The declared dim, the lowering matrix (Lm1) and the raising matrix (L1)."""
+    dim = _int(doc, "dim", "dim")
+    A = _matrix(doc, "Lm1")
+    B = _matrix(doc, "L1")
     if A.nrows != dim or B.nrows != dim:
         raise InputError("declared dim disagrees with the matrices")
-    return validate(RationalRep(dim, A, B))
+    return dim, A, B
 
 
-def _poly_rep_from_doc(doc: Dict) -> PolynomialRep:
-    dim = _need(doc, "dim")
-    A = mat_from_strings(_need(doc, "Lm1"))
-    B = mat_from_strings(_need(doc, "L1"))
-    return PolynomialRep(dim, A, B)
+def _rep_from_doc(doc: Dict) -> RationalRep:
+    return validate(RationalRep(*_operators(doc)))
+
+
+def _pair(doc: Dict) -> Tuple[RationalRep, RationalRep]:
+    return _rep_from_doc(_need(doc, "first")), _rep_from_doc(_need(doc, "second"))
 
 
 def _rep_to_doc(rep) -> Dict:
@@ -128,6 +160,8 @@ def _parse_level(text) -> Fraction:
 def _emit(args, doc: Dict) -> None:
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    elif "error" in doc:
+        print(f"error: {doc['error']['type']}: {doc['error']['message']}")
     else:
         for key in sorted(doc):
             value = doc[key]
@@ -141,189 +175,152 @@ def _emit(args, doc: Dict) -> None:
                 print(f"{key}: {value}")
 
 
-# -- command implementations ----------------------------------------------------
+# -- commands: input document -> output document ------------------------------------
 
 
-def _cmd_validate(args):
-    rep = _rep_from_doc(_load_doc(args))
-    _emit(args, {"ok": True, "dim": rep.dim})
+def _validate(doc, args):
+    return {"ok": True, "dim": _rep_from_doc(doc).dim}
 
 
-def _cmd_casimir(args):
-    rep = _rep_from_doc(_load_doc(args))
-    _emit(args, {"matrix": casimir_matrix(rep).to_strings()})
+def _casimir(doc, args):
+    return {"matrix": casimir_matrix(_rep_from_doc(doc)).to_strings()}
 
 
-def _cmd_minpoly(args):
-    rep = _rep_from_doc(_load_doc(args))
-    _emit(args, {"minpoly": format_poly(casimir_minpoly(rep), "t")})
+def _minpoly(doc, args):
+    return {"minpoly": format_poly(casimir_minpoly(_rep_from_doc(doc)), "t")}
 
 
-def _cmd_levels(args):
-    rep = _rep_from_doc(_load_doc(args))
-    comps = level_decompose(rep)
-    _emit(
-        args,
-        {
-            "levels": [
-                {"level": str(c.level), "exponent": c.exponent, "dim": c.rep.dim}
-                for c in comps
-            ]
-        },
-    )
+def _levels(doc, args):
+    comps = level_decompose(_rep_from_doc(doc))
+    return {"levels": [{"level": str(c.level), "exponent": c.exponent, "dim": c.rep.dim} for c in comps]}
 
 
-def _cmd_filtration(args):
-    rep = _rep_from_doc(_load_doc(args))
-    comps = level_decompose(rep)
+def _filtration(doc, args):
+    comps = level_decompose(_rep_from_doc(doc))
     if len(comps) != 1:
         raise InputError("filtration expects a single-level module; use `levels` first")
     filt = canonical_filtration(comps[0])
-    _emit(
-        args,
-        {
-            "level": str(filt.level),
-            "exponent": filt.length,
-            "dims": [s.basis.ncols for s in filt.steps],
-            "quotient_dims": list(filt.quotient_dims()),
-        },
-    )
+    return {
+        "level": str(filt.level),
+        "exponent": filt.length,
+        "dims": [s.basis.ncols for s in filt.steps],
+        "quotient_dims": list(filt.quotient_dims()),
+    }
 
 
-def _cmd_devissage(args):
-    rep = _rep_from_doc(_load_doc(args))
-    cls, tree = devissage(rep, seed=args.seed)
-    _emit(args, {"class": _class_to_doc(cls), "tree": tree.serialize()})
+def _devissage(doc, args):
+    cls, tree = devissage(_rep_from_doc(doc), seed=args.seed)
+    return {"class": _class_to_doc(cls), "tree": tree.serialize()}
 
 
-def _cmd_tensor(args):
-    doc = _load_doc(args)
-    r1 = _rep_from_doc(_need(doc, "first"))
-    r2 = _rep_from_doc(_need(doc, "second"))
-    _emit(args, _rep_to_doc(tensor(r1, r2)))
+def _tensor(doc, args):
+    return _rep_to_doc(tensor(*_pair(doc)))
 
 
-def _cmd_hom(args):
-    doc = _load_doc(args)
-    r1 = _rep_from_doc(_need(doc, "first"))
-    r2 = _rep_from_doc(_need(doc, "second"))
-    _emit(args, _rep_to_doc(internal_hom(r1, r2)))
+def _hom(doc, args):
+    return _rep_to_doc(internal_hom(*_pair(doc)))
 
 
-def _cmd_dual(args):
-    rep = _rep_from_doc(_load_doc(args))
-    _emit(args, _rep_to_doc(dual(rep)))
+def _dual(doc, args):
+    return _rep_to_doc(dual(_rep_from_doc(doc)))
+
+
+def _iso(doc, args):
+    result = iso_rank1(*_pair(doc))
+    if result.intertwiner is None:
+        return {"isomorphic": False, "reason": result.reason}
+    return {"isomorphic": True, "intertwiner": str(result.intertwiner)}
+
+
+def _classify_rank1(doc, args):
+    rep = _rep_from_doc(doc)
+    kinds = classify_rank1(rep)
+    return {"level": str(require_casimir(rep)), "kinds": [{"kind": k, "gamma": str(g)} for k, g in kinds]}
+
+
+def _rationalize(doc, args):
+    return _rep_to_doc(rationalize(PolynomialRep(*_operators(doc))))
+
+
+def _solve_add(doc, args):
+    phi = solve_add_diff(_ratfunc(doc, "s"))
+    return {"solvable": False} if phi is None else {"solvable": True, "phi": str(phi)}
+
+
+def _solve_mult(doc, args):
+    t = solve_mult_diff(_ratfunc(doc, "f"))
+    return {"solvable": False} if t is None else {"solvable": True, "t": str(t)}
+
+
+def _orbit(doc, args):
+    mu = _parse_level(_need(doc, "level"))
+    r = _ratfunc(doc, "r")
+    m = _int(doc, "m", "orbit index m")
+    return {"coefficient": str(cyclic_orbit(mu, r, m))}
 
 
 def _pic_pair(doc) -> PicInvariant:
-    mu = _parse_level(_need(doc, "level"))
-    r = parse_ratfunc(_need(doc, "r"))
-    return pic_invariant(mu, r)
+    return pic_invariant(_parse_level(_need(doc, "level")), _ratfunc(doc, "r"))
 
 
-def _cmd_pic(args):
-    doc = _load_doc(args)
-    if args.action == "normalize":
-        inv = _pic_pair(doc)
-    elif args.action == "inv":
-        inv = pic_inverse(_pic_pair(doc))
-    else:
-        inv = pic_mul(_pic_pair(_need(doc, "first")), _pic_pair(_need(doc, "second")))
-    _emit(args, _invariant_to_doc(inv))
+def _pic_normalize(doc, args):
+    return _invariant_to_doc(_pic_pair(doc))
 
 
-def _cmd_iso(args):
-    doc = _load_doc(args)
-    r1 = _rep_from_doc(_need(doc, "first"))
-    r2 = _rep_from_doc(_need(doc, "second"))
-    result = iso_rank1(r1, r2)
-    if result.intertwiner is None:
-        _emit(args, {"isomorphic": False, "reason": result.reason})
-    else:
-        _emit(args, {"isomorphic": True, "intertwiner": str(result.intertwiner)})
+def _pic_mul(doc, args):
+    return _invariant_to_doc(pic_mul(_pic_pair(_need(doc, "first")), _pic_pair(_need(doc, "second"))))
 
 
-def _cmd_classify_rank1(args):
-    rep = _rep_from_doc(_load_doc(args))
-    kinds = classify_rank1(rep)
-    from .rep import require_casimir
-
-    _emit(
-        args,
-        {
-            "level": str(require_casimir(rep)),
-            "kinds": [{"kind": k, "gamma": str(g)} for k, g in kinds],
-        },
-    )
-
-
-def _cmd_rationalize(args):
-    prep = _poly_rep_from_doc(_load_doc(args))
-    _emit(args, _rep_to_doc(rationalize(prep)))
-
-
-def _cmd_solve_add(args):
-    doc = _load_doc(args)
-    s = parse_ratfunc(_need(doc, "s"))
-    phi = solve_add_diff(s)
-    if phi is None:
-        _emit(args, {"solvable": False})
-    else:
-        _emit(args, {"solvable": True, "phi": str(phi)})
-
-
-def _cmd_solve_mult(args):
-    doc = _load_doc(args)
-    f = parse_ratfunc(_need(doc, "f"))
-    t = solve_mult_diff(f)
-    if t is None:
-        _emit(args, {"solvable": False})
-    else:
-        _emit(args, {"solvable": True, "t": str(t)})
+def _pic_inv(doc, args):
+    return _invariant_to_doc(pic_inverse(_pic_pair(doc)))
 
 
 def _ext_datum(doc) -> ExtDatum:
     left = _rep_from_doc(_need(doc, "left"))
     right = _rep_from_doc(_need(doc, "right"))
-    B1 = mat_from_strings(_need(doc, "B1"))
-    T = mat_from_strings(_need(doc, "T"))
-    return ExtDatum(left, right, B1, T)
+    return ExtDatum(left, right, _matrix(doc, "B1"), _matrix(doc, "T"))
 
 
-def _cmd_ext(args):
-    doc = _load_doc(args)
-    if args.action == "build":
-        built = ext_build(_ext_datum(doc))
-        _emit(args, _rep_to_doc(built))
-    elif args.action == "casimir":
-        datum = _ext_datum(doc)
-        is_cas = ext_is_casimir(datum)
-        _emit(args, {"casimir": is_cas, "exponent": exponent_of(ext_build(datum))})
-    else:  # class-eq
-        mu = _parse_level(_need(doc, "level"))
-        from .rep import rank1
-
-        rho1 = rank1(mu, parse_ratfunc(_need(doc, "r1")))
-        rho2 = rank1(mu, parse_ratfunc(_need(doc, "r2")))
-        result = ext_class_equal(
-            rho1,
-            rho2,
-            parse_ratfunc(_need(doc, "b1")),
-            parse_ratfunc(_need(doc, "b2")),
-            _parse_level(_need(doc, "T1")),
-            _parse_level(_need(doc, "T2")),
-        )
-        _emit(args, {"result": result})
+def _ext_build(doc, args):
+    return _rep_to_doc(ext_build(_ext_datum(doc)))
 
 
-def _cmd_orbit(args):
-    doc = _load_doc(args)
+def _ext_casimir(doc, args):
+    datum = _ext_datum(doc)
+    return {"casimir": ext_is_casimir(datum), "exponent": exponent_of(ext_build(datum))}
+
+
+def _ext_class_eq(doc, args):
     mu = _parse_level(_need(doc, "level"))
-    r = parse_ratfunc(_need(doc, "r"))
-    m = _need(doc, "m")
-    if not isinstance(m, int):
-        raise InputError("orbit index m must be an integer")
-    _emit(args, {"coefficient": str(cyclic_orbit(mu, r, m))})
+    rho1 = rank1(mu, _ratfunc(doc, "r1"))
+    rho2 = rank1(mu, _ratfunc(doc, "r2"))
+    b1, b2 = _ratfunc(doc, "b1"), _ratfunc(doc, "b2")
+    T1, T2 = _parse_level(_need(doc, "T1")), _parse_level(_need(doc, "T2"))
+    return {"result": ext_class_equal(rho1, rho2, b1, b2, T1, T2)}
+
+
+Command = Callable[[Any, argparse.Namespace], Dict]
+
+# name -> (command, or action name -> command; help text)
+COMMANDS: Dict[str, Tuple[Union[Command, Dict[str, Command]], str]] = {
+    "validate": (_validate, "check the commutation identity and invertibility"),
+    "casimir": (_casimir, "print the Casimir matrix"),
+    "minpoly": (_minpoly, "minimal polynomial of the Casimir operator"),
+    "levels": (_levels, "level decomposition summary"),
+    "filtration": (_filtration, "canonical filtration of a single-level module"),
+    "devissage": (_devissage, "Grothendieck class and certificate tree"),
+    "tensor": (_tensor, "tensor product of two modules"),
+    "hom": (_hom, "internal Hom of two modules"),
+    "dual": (_dual, "dual module"),
+    "iso": (_iso, "rank-1 isomorphism test with intertwiner"),
+    "classify-rank1": (_classify_rank1, "match against the polynomial families"),
+    "rationalize": (_rationalize, "rationalize a polynomial representation"),
+    "solve-add": (_solve_add, "solve phi(z+1) - phi(z) = s(z)"),
+    "solve-mult": (_solve_mult, "solve t(z)/t(z+1) = f(z)"),
+    "orbit": (_orbit, "cyclic-orbit coefficient of a rank-1 module"),
+    "pic": ({"normalize": _pic_normalize, "mul": _pic_mul, "inv": _pic_inv}, "Picard invariant operations"),
+    "ext": ({"build": _ext_build, "casimir": _ext_casimir, "class-eq": _ext_class_eq}, "extension operations"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,44 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sl2rat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (command, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(command, dict):
+            p.add_argument("action", choices=tuple(command))
         p.add_argument("--input", help="input JSON file (default: stdin)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0, help="seed for devissage searches")
-
-    simple = {
-        "validate": (_cmd_validate, "check the commutation identity and invertibility"),
-        "casimir": (_cmd_casimir, "print the Casimir matrix"),
-        "minpoly": (_cmd_minpoly, "minimal polynomial of the Casimir operator"),
-        "levels": (_cmd_levels, "level decomposition summary"),
-        "filtration": (_cmd_filtration, "canonical filtration of a single-level module"),
-        "devissage": (_cmd_devissage, "Grothendieck class and certificate tree"),
-        "tensor": (_cmd_tensor, "tensor product of two modules"),
-        "hom": (_cmd_hom, "internal Hom of two modules"),
-        "dual": (_cmd_dual, "dual module"),
-        "iso": (_cmd_iso, "rank-1 isomorphism test with intertwiner"),
-        "classify-rank1": (_cmd_classify_rank1, "match against the polynomial families"),
-        "rationalize": (_cmd_rationalize, "rationalize a polynomial representation"),
-        "solve-add": (_cmd_solve_add, "solve phi(z+1) - phi(z) = s(z)"),
-        "solve-mult": (_cmd_solve_mult, "solve t(z)/t(z+1) = f(z)"),
-        "orbit": (_cmd_orbit, "cyclic-orbit coefficient of a rank-1 module"),
-    }
-    for name, (fn, help_text) in simple.items():
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.set_defaults(fn=fn)
-
-    pic = sub.add_parser("pic", help="Picard invariant operations")
-    pic.add_argument("action", choices=("normalize", "mul", "inv"))
-    common(pic)
-    pic.set_defaults(fn=_cmd_pic)
-
-    ext = sub.add_parser("ext", help="extension operations")
-    ext.add_argument("action", choices=("build", "casimir", "class-eq"))
-    common(ext)
-    ext.set_defaults(fn=_cmd_ext)
-
     return parser
 
 
@@ -382,20 +348,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def execute(argv) -> int:
     args = _parser().parse_args(argv)
+    command = COMMANDS[args.command][0]
+    if isinstance(command, dict):
+        command = command[args.action]
+    code = 0
     try:
-        args.fn(args)
+        out = command(_load_doc(args), args)
     except Sl2RatError as exc:
-        payload = exc.payload()
+        out, code = {"error": exc.payload()}, 1
     except ValueError as exc:
-        payload = {"type": "ValueError", "message": str(exc)}
-    else:
-        return 0
-    doc = {"error": payload}
-    if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print(f"error: {payload.get('type')}: {payload.get('message')}")
-    return 1
+        out, code = {"error": {"type": "ValueError", "message": str(exc)}}, 1
+    _emit(args, out)
+    return code
 
 
 def main() -> None:

@@ -10,58 +10,42 @@ from __future__ import annotations
 class Sl2RatError(Exception):
     """Base class for all domain errors."""
 
-    code = "Error"
-
     def payload(self) -> dict:
-        return {"type": self.code, "message": str(self)}
+        return {"type": type(self).__name__, "message": str(self)}
 
 
 class ParseError(Sl2RatError):
     """Syntax error in the rational-function grammar, with a position."""
-
-    code = "ParseError"
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
     def payload(self) -> dict:
-        return {"type": self.code, "message": str(self), "position": self.position}
+        return {**super().payload(), "position": self.position}
 
 
 class ZeroDenominator(Sl2RatError):
     """Division by the zero polynomial."""
 
-    code = "ZeroDenominator"
-
 
 class SingularMatrix(Sl2RatError):
     """A matrix required to be invertible is singular."""
-
-    code = "SingularMatrix"
 
 
 class SingularOperator(Sl2RatError):
     """A semilinear operator required to be an automorphism is singular."""
 
-    code = "SingularOperator"
-
 
 class NotARepresentation(Sl2RatError):
     """The commutation identity fails; carries the residual matrix."""
-
-    code = "NotARepresentation"
 
     def __init__(self, residual):
         super().__init__("commutation identity fails")
         self.residual = residual
 
     def payload(self) -> dict:
-        return {
-            "type": self.code,
-            "message": str(self),
-            "residual": [[str(e) for e in row] for row in self.residual.rows_list()],
-        }
+        return {**super().payload(), "residual": [[str(e) for e in row] for row in self.residual.rows_list()]}
 
 
 class NonConstantMinpoly(Sl2RatError):
@@ -71,13 +55,9 @@ class NonConstantMinpoly(Sl2RatError):
     internal defect.
     """
 
-    code = "NonConstantMinpoly"
-
 
 class LevelOutsideBaseField(Sl2RatError):
     """A level exists over an extension field only; carries the irreducible factor."""
-
-    code = "LevelOutsideBaseField"
 
     def __init__(self, factor):
         from .poly import format_poly
@@ -90,50 +70,32 @@ class LevelOutsideBaseField(Sl2RatError):
     def payload(self) -> dict:
         from .poly import format_poly
 
-        return {
-            "type": self.code,
-            "message": str(self),
-            "factor": format_poly(self.factor, "t"),
-        }
+        return {**super().payload(), "factor": format_poly(self.factor, "t")}
 
 
 class NotInvariant(Sl2RatError):
     """A candidate subspace is not closed under the operators."""
 
-    code = "NotInvariant"
-
 
 class NotCasimir(Sl2RatError):
     """An operation requiring a Casimir module received a non-Casimir one."""
-
-    code = "NotCasimir"
 
 
 class NotPolynomial(Sl2RatError):
     """A polynomial representation was expected but entries have denominators."""
 
-    code = "NotPolynomial"
-
 
 class LevelMismatch(Sl2RatError):
     """Two modules required to share a level do not."""
-
-    code = "LevelMismatch"
 
 
 class InvalidExtensionData(Sl2RatError):
     """Assembled extension fails the commutation identity."""
 
-    code = "InvalidExtensionData"
-
 
 class PiMuIrreducible(Sl2RatError):
     """z^2 - z - mu has no rational roots, so the split families do not exist."""
 
-    code = "PiMuIrreducible"
-
 
 class CyclicVectorNotFound(Sl2RatError):
     """Bounded deterministic cyclic-vector search failed (does not occur generically)."""
-
-    code = "CyclicVectorNotFound"

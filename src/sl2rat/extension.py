@@ -97,25 +97,17 @@ def ext_is_casimir(datum: ExtDatum) -> bool:
 
 
 def _solve_add_poly(s: Poly) -> Poly:
-    """Polynomial solution of the telescoping equation; always exists."""
-    if s.is_zero():
-        return Poly.zero()
-    d = s.degree + 1
-    # phi = sum_{k=1..d} x_k z^k (constant term pinned to zero), linear system
-    z = Poly.variable()
-    basis = [(z + 1) ** k - z ** k for k in range(1, d + 1)]
-    rows = []
-    rhs = []
-    for power in range(d):
-        rows.append([b.coefficient(power) for b in basis])
-        rhs.append(s.coefficient(power))
-    sol = Mat(rows).solve(Mat.column(rhs))
-    if sol is None:
-        raise ArithmeticError("telescoping system is always solvable")
+    """The polynomial phi with phi(z+1) - phi(z) = s(z) and phi(0) = 0.
+
+    Back-substitution from the top degree: the difference of c*z^k has
+    degree k - 1 and leading coefficient c*k, so each step lowers deg s.
+    """
     phi = Poly.zero()
-    for k in range(1, d + 1):
-        c = sol[k - 1, 0]
-        phi = phi + Poly.monomial(c.constant_value(), k)
+    while not s.is_zero():
+        k = s.degree + 1
+        term = Poly.monomial(s.lead / k, k)
+        phi = phi + term
+        s = s - (term.shifted(1) - term)
     return phi
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .factor import factor_poly, monic_divisors
+from .factor import factor_poly, monic_divisors, rational_roots
 from .matrix import Mat
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -83,7 +83,11 @@ def poly_solutions(coeffs: Sequence[Poly]) -> List[Poly]:
     """Basis of polynomial solutions of sum_i p_i(z) y(z+i) = 0."""
     if all(p.is_zero() for p in coeffs):
         raise ValueError("zero operator")
-    candidates = poly_degree_candidates(coeffs)
+    return _poly_solutions(coeffs, poly_degree_candidates(coeffs))
+
+
+def _poly_solutions(coeffs: Sequence[Poly], candidates: List[int]) -> List[Poly]:
+    """`poly_solutions` for a nonzero operator whose degree candidates are known."""
     if not candidates:
         return []
     dmax = max(candidates)
@@ -102,12 +106,6 @@ def poly_solutions(coeffs: Sequence[Poly]) -> List[Poly]:
     for v in kernel:
         out.append(Poly([entry.constant_value() for entry in v]))
     return [p for p in out if not p.is_zero()]
-
-
-def _nonzero_rational_roots(p: Poly) -> List[Fraction]:
-    _, facs = factor_poly(p)
-    roots = [-f.coefficient(0) for f, _ in facs if f.degree == 1]
-    return sorted(r for r in roots if r != 0)
 
 
 def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
@@ -130,12 +128,12 @@ def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
             for i, p in enumerate(q):
                 if p.degree == D:
                     chi = chi + Poly.monomial(p.lead, i)
-            for c in _nonzero_rational_roots(chi):
+            for c in [r for r in rational_roots(chi) if r != 0]:
                 scaled = [Poly.constant(c ** i) * q[i] for i in range(m + 1)]
                 candidates = poly_degree_candidates(scaled)
                 cap = max(candidates) if candidates else -1
                 yield ("probe", None, cap)
-                for C in poly_solutions(scaled):
+                for C in _poly_solutions(scaled, candidates):
                     xi = RatFunc.constant(c) * RatFunc(A, B) * RatFunc(C.shifted(1)) / RatFunc(C)
                     yield ("found", xi, cap)
 

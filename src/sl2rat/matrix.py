@@ -37,10 +37,6 @@ class Mat:
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(r: int, c: int) -> "Mat":
-        return Mat([[0] * c for _ in range(r)])
-
-    @staticmethod
     def diag(entries: Sequence[Entry]) -> "Mat":
         n = len(entries)
         return Mat([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -242,7 +238,7 @@ class Mat:
         for r, pc in enumerate(pivots):
             for k in range(rhs.ncols):
                 sol[pc][k] = R.data[r][nc + k]
-        return Mat(sol) if sol else Mat.zeros(nc, rhs.ncols)
+        return Mat(sol)
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:

@@ -36,9 +36,6 @@ class PicInvariant:
     lead: Fraction
     classes: Tuple[ClassItem, ...]
 
-    def class_dict(self) -> Dict[Poly, int]:
-        return dict(self.classes)
-
     def __str__(self) -> str:
         cls = ", ".join(f"{p}: {m:+d}" for p, m in self.classes)
         return f"(level={self.level}, lead={self.lead}, {{{cls}}})"

@@ -187,9 +187,6 @@ class Poly:
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
-
     # -- evaluation and substitution ----------------------------------
 
     def eval(self, x: Scalar) -> Fraction:
@@ -328,10 +325,6 @@ def mu_roots(mu: Scalar) -> Optional[Tuple[Fraction, Fraction]]:
 # -- canonical text form ------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_poly(p: Poly, var: str = "z") -> str:
     """Canonical text form: descending powers, explicit '*', no implicit mult."""
     if p.is_zero():
@@ -344,10 +337,10 @@ def format_poly(p: Poly, var: str = "z") -> str:
         neg = c < 0
         mag = -c if neg else c
         if k == 0:
-            body = _format_coeff(mag)
+            body = str(mag)
         else:
             zpow = var if k == 1 else f"{var}^{k}"
-            body = zpow if mag == 1 else f"{_format_coeff(mag)}*{zpow}"
+            body = zpow if mag == 1 else f"{mag}*{zpow}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

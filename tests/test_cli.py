@@ -83,3 +83,45 @@ def test_repeat_runs_are_byte_identical():
     in_path = os.path.join(DATA, "devissage_ext.json")
     outs = {run_cli(["devissage", "--seed", "0"], input_path=in_path).stdout for _ in range(3)}
     assert len(outs) == 1
+
+
+REP = {"dim": 1, "L1": [["1"]], "Lm1": [["z^2 - z"]]}
+
+# one document per subcommand with a field of the wrong JSON type
+MALFORMED = [
+    (["validate"], {"dim": 1, "L1": 5, "Lm1": [["1"]]}),
+    (["casimir"], {"dim": 1, "L1": [[1]], "Lm1": [["1"]]}),
+    (["minpoly"], {**REP, "dim": True}),
+    (["levels"], {**REP, "dim": "1"}),
+    (["filtration"], {**REP, "Lm1": ["z^2 - z"]}),
+    (["devissage"], {**REP, "dim": 1.0}),
+    (["tensor"], {"first": REP, "second": {**REP, "L1": [[None]]}}),
+    (["hom"], {"first": {**REP, "Lm1": "z^2 - z"}, "second": REP}),
+    (["dual"], {**REP, "Lm1": {"0": "z^2 - z"}}),
+    (["iso"], {"first": REP, "second": {**REP, "dim": False}}),
+    (["classify-rank1"], {**REP, "L1": [[["1"]]]}),
+    (["rationalize"], {"dim": 1, "L1": [["z^2 + z"]], "Lm1": [[1]]}),
+    (["solve-add"], {"s": 5}),
+    (["solve-mult"], {"f": ["z"]}),
+    (["orbit"], {"level": "0", "r": "1", "m": True}),
+    (["pic", "normalize"], {"level": "1", "r": 5}),
+    (["pic", "mul"], {"first": {"level": "1", "r": "z"}, "second": {"level": "1", "r": None}}),
+    (["pic", "inv"], {"level": "2", "r": {"num": "z"}}),
+    (["ext", "build"], {"left": REP, "right": REP, "B1": [[0]], "T": [["1"]]}),
+    (["ext", "casimir"], {"left": REP, "right": REP, "B1": [["0"]], "T": "1"}),
+    (["ext", "class-eq"], {"level": "0", "r1": "1", "r2": "1", "b1": 1, "b2": "1/z", "T1": "0", "T2": "0"}),
+]
+
+
+@pytest.mark.parametrize("argv,doc", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+def test_malformed_document_is_an_input_error(argv, doc):
+    proc = run_cli(argv, stdin_text=json.dumps(doc))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+
+
+def test_rationalize_checks_the_declared_dim():
+    proc = run_cli(["rationalize"], stdin_text=json.dumps({"dim": 3, "L1": [["z^2 + z"]], "Lm1": [["1"]]}))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout == '{"error":{"message":"declared dim disagrees with the matrices","type":"InputError"}}\n'
