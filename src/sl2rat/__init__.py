@@ -50,7 +50,7 @@ from .k0 import (
     k0_eq,
     k0_neg,
 )
-from .matrix import Mat, kernel_solve, mat_from_strings
+from .matrix import Mat, mat_from_strings
 from .monoidal import dual, internal_hom, tensor, unit
 from .parser import parse_poly, parse_ratfunc
 from .picard import (

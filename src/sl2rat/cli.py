@@ -11,7 +11,7 @@ document to the output document; ``args`` is read only for ``--seed``.  The
 (``pic`` and ``ext`` map each action name to a function) and drives both
 argparse and dispatch: `execute` reads the document, runs the function,
 emits the result and turns domain errors into diagnostics, each in one
-place.  A field of the wrong JSON type is an `InputError`.
+place.  A field of the wrong JSON type or shape is an `InputError`.
 
 Representation documents are {"dim": m, "L1": [[...]], "Lm1": [[...]]}
 with entries in the expression grammar; polynomial representations use the
@@ -98,6 +98,8 @@ def _matrix(doc: Dict, key: str) -> Mat:
         isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
     ):
         raise InputError(f"field {key!r} must be a list of lists of strings")
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise InputError(f"field {key!r} must be a non-empty matrix with rows of equal length")
     return mat_from_strings(rows)
 
 
@@ -106,7 +108,7 @@ def _operators(doc: Dict) -> Tuple[int, Mat, Mat]:
     dim = _int(doc, "dim", "dim")
     A = _matrix(doc, "Lm1")
     B = _matrix(doc, "L1")
-    if A.nrows != dim or B.nrows != dim:
+    if A.shape != (dim, dim) or B.shape != (dim, dim):
         raise InputError("declared dim disagrees with the matrices")
     return dim, A, B
 
@@ -278,7 +280,11 @@ def _pic_inv(doc, args):
 def _ext_datum(doc) -> ExtDatum:
     left = _rep_from_doc(_need(doc, "left"))
     right = _rep_from_doc(_need(doc, "right"))
-    return ExtDatum(left, right, _matrix(doc, "B1"), _matrix(doc, "T"))
+    B1, T = _matrix(doc, "B1"), _matrix(doc, "T")
+    try:
+        return ExtDatum(left, right, B1, T)
+    except ValueError as exc:  # B1 or T is not left.dim x right.dim
+        raise InputError(str(exc)) from None
 
 
 def _ext_build(doc, args):

@@ -1,8 +1,11 @@
 """Exact matrices over Q(z): arithmetic, elimination, kernels, solving.
 
-Pivots are chosen deterministically (first nonzero) so echelon forms,
-kernels and inverses are reproducible.  No sparse formats, no attempt at
-asymptotically clever elimination; everything is plain and exact.
+All elimination is one forward pass, `Mat._echelon`: first-nonzero pivots
+clear the rows below them, and the pivot product signed by the row swaps is
+`det`.  `rref` back-reduces from the last pivot up; `rank`, `kernel`, `solve`
+and `inverse` (a solve against the identity) read the reduced form.  Pivots
+are chosen deterministically, so results are reproducible; everything is
+plain and exact.
 """
 from __future__ import annotations
 
@@ -178,32 +181,41 @@ class Mat:
 
     # -- elimination ---------------------------------------------------------------
 
-    def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
-        """Reduced row echelon form with first-nonzero pivoting."""
-        rows = [list(r) for r in self.data]
-        nr, nc = self.nrows, self.ncols
+    def _echelon(self) -> Tuple[List[List[RatFunc]], Tuple[int, ...], RatFunc]:
+        """Echelon rows, pivot columns, and the pivot product negated once per row swap."""
+        rows = self.rows_list()
+        nr = self.nrows
         pivots: List[int] = []
-        r = 0
-        for c in range(nc):
-            pivot_row = None
-            for i in range(r, nr):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [e * inv for e in rows[r]]
-            for i in range(nr):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
+        product = RatFunc.one()
+        for c in range(self.ncols):
+            r = len(pivots)
             if r == nr:
                 break
-        return Mat(rows) if rows else self, tuple(pivots)
+            found = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
+            if found is None:
+                continue
+            if found != r:
+                rows[r], rows[found] = rows[found], rows[r]
+                product = -product
+            pivot = rows[r][c]
+            product = product * pivot
+            for i in range(r + 1, nr):
+                if not rows[i][c].is_zero():
+                    rows[i][c:] = _minus_multiple(rows[i][c:], rows[i][c] / pivot, rows[r][c:])
+            pivots.append(c)
+        return rows, tuple(pivots), product
+
+    def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
+        """Reduced row echelon form: the forward pass, then back-reduction from the last pivot."""
+        rows, pivots, _ = self._echelon()
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            inv = rows[r][c].inverse()
+            rows[r][c:] = [e * inv for e in rows[r][c:]]
+            for i in range(r):
+                if not rows[i][c].is_zero():
+                    rows[i][c:] = _minus_multiple(rows[i][c:], rows[i][c], rows[r][c:])
+        return Mat(rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -243,36 +255,16 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise ValueError("only square matrices are invertible")
-        aug = self.hstack(Mat.identity(self.nrows))
-        R, pivots = aug.rref()
-        if len(pivots) != self.nrows or any(p >= self.nrows for p in pivots):
+        inv = self.solve(Mat.identity(self.nrows))
+        if inv is None:
             raise SingularMatrix("matrix is singular over the function field")
-        return R.submatrix(range(self.nrows), range(self.nrows, 2 * self.nrows))
+        return inv
 
     def det(self) -> RatFunc:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.data]
-        n = self.nrows
-        det = RatFunc.one()
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return RatFunc.zero()
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for i in range(c + 1, n):
-                if not rows[i][c].is_zero():
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        _, pivots, product = self._echelon()
+        return product if len(pivots) == self.ncols else RatFunc.zero()
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and not self.det().is_zero()
@@ -297,17 +289,9 @@ def _dot(row: Sequence[RatFunc], col: Sequence[RatFunc]) -> RatFunc:
     return acc
 
 
-def kernel_solve(m: Mat, rhs: Optional[Mat] = None):
-    """Kernel basis when rhs is None, else a particular solution of m X = rhs.
-
-    Raises ValueError on an inconsistent system.
-    """
-    if rhs is None:
-        return m.kernel()
-    sol = m.solve(rhs)
-    if sol is None:
-        raise ValueError("inconsistent linear system")
-    return sol
+def _minus_multiple(row: Sequence[RatFunc], f: RatFunc, pivot_row: Sequence[RatFunc]) -> List[RatFunc]:
+    """row - f * pivot_row, leaving the entries over zeros of pivot_row untouched."""
+    return [a if b.is_zero() else a - f * b for a, b in zip(row, pivot_row)]
 
 
 def mat_from_strings(rows: Sequence[Sequence[str]]) -> Mat:

@@ -10,6 +10,10 @@ commutation identity
 The Casimir matrix is C(z) = z(z-1) Id - A(z) B(z-1); its minimal
 polynomial always has constant coefficients, which drives the level
 decomposition, the canonical filtration, and everything downstream.
+
+Modules built from outside data go through `make_rep` (the identity and both
+determinants); a restriction or quotient of a module is not re-validated,
+because the closure check that builds it is an exact certificate.
 """
 from __future__ import annotations
 
@@ -220,9 +224,8 @@ def direct_sum(r1: RationalRep, r2: RationalRep) -> RationalRep:
 
 def conjugate(rep: RationalRep, T: Mat) -> RationalRep:
     """Change of presentation: B -> T(z) B(z) T(z+1)^-1, A -> T(z) A(z) T(z-1)^-1."""
-    Tinv_p = T.shifted(1).inverse()
-    Tinv_m = T.shifted(-1).inverse()
-    return make_rep(T * rep.A * Tinv_m, T * rep.B * Tinv_p)
+    Tinv = T.inverse()  # shifting commutes with inversion
+    return make_rep(T * rep.A * Tinv.shifted(-1), T * rep.B * Tinv.shifted(1))
 
 
 def level_shift(rep: RationalRep, nu: Scalar) -> RationalRep:
@@ -248,42 +251,42 @@ def cyclic_orbit(mu: Scalar, r, m: int) -> RatFunc:
 # -- invariant subspaces, restriction, quotient ----------------------------------
 
 
-def _check_full_column_rank(P: Mat):
-    if P.rank() != P.ncols:
-        raise ValueError("basis columns must be independent")
+def _independent_columns(cols: List[Tuple[RatFunc, ...]]) -> List[Tuple[RatFunc, ...]]:
+    """The columns at the pivots of one rref: each column not in the span of those before it."""
+    _, pivots = Mat.from_columns(cols).rref()
+    return [cols[j] for j in pivots]
 
 
 def restrict_to_invariant_subspace(rep: RationalRep, basis: Mat) -> RationalRep:
-    """Representation on the column span of `basis`; NotInvariant when not closed."""
-    _check_full_column_rank(basis)
-    Bres = basis.solve(rep.B * basis.shifted(1))
-    Ares = basis.solve(rep.A * basis.shifted(-1))
-    if Bres is None or Ares is None:
+    """Representation on the column span of `basis`; NotInvariant when not closed.
+
+    `rep` must be a module.  Certificate: with P of full column rank, the
+    closure solve gives P residual(Ares, Bres) = residual(A, B) P = 0.
+    """
+    if basis.rank() != basis.ncols:
+        raise ValueError("basis columns must be independent")
+    k = basis.ncols
+    sol = basis.solve((rep.B * basis.shifted(1)).hstack(rep.A * basis.shifted(-1)))
+    if sol is None:
         raise NotInvariant("column span is not closed under the operators")
-    return make_rep(Ares, Bres)
+    return RationalRep(k, sol.submatrix(range(k), range(k, 2 * k)), sol.submatrix(range(k), range(k)))
 
 
 def _complete_basis(P: Mat) -> Mat:
-    """Extend independent columns to a square invertible matrix with unit vectors."""
-    n = P.nrows
-    cols = list(P.columns())
-    current = Mat.from_columns(cols)
-    for i in range(n):
-        if len(cols) == n:
-            break
-        e = tuple(RatFunc.one() if j == i else RatFunc.zero() for j in range(n))
-        candidate = Mat.from_columns(cols + [e])
-        if candidate.rank() == len(cols) + 1:
-            cols.append(e)
-            current = candidate
-    if len(cols) != n:
-        raise ArithmeticError("unit vectors must complete the basis")
-    return current
+    """Extend the columns of P by unit vectors to an invertible matrix; ValueError when they are dependent."""
+    cols = P.columns()
+    chosen = _independent_columns(cols + Mat.identity(P.nrows).columns())
+    if chosen[: len(cols)] != cols:
+        raise ValueError("basis columns must be independent")
+    return Mat.from_columns(chosen)
 
 
 def quotient_by_invariant_subspace(rep: RationalRep, basis: Mat) -> RationalRep:
-    """Representation on the quotient by the column span of `basis`."""
-    _check_full_column_rank(basis)
+    """Representation on the quotient by the column span of `basis`.
+
+    `rep` must be a module.  Certificate: conjugating by U keeps the identity,
+    the lower-left blocks are zero, and det An = det A11 * det A22.
+    """
     k = basis.ncols
     U = _complete_basis(basis)
     Uinv = U.inverse()
@@ -296,7 +299,7 @@ def quotient_by_invariant_subspace(rep: RationalRep, basis: Mat) -> RationalRep:
     ):
         raise NotInvariant("column span is not closed under the operators")
     rng = range(k, n)
-    return make_rep(An.submatrix(rng, rng), Bn.submatrix(rng, rng))
+    return RationalRep(n - k, An.submatrix(rng, rng), Bn.submatrix(rng, rng))
 
 
 # -- level decomposition and canonical filtration --------------------------------
@@ -343,14 +346,7 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
         Np = Np * N
         ker = Np.kernel()
         # extend the nested basis with kernel vectors that add rank
-        for v in ker:
-            if not cols:
-                if any(not e.is_zero() for e in v):
-                    cols.append(v)
-                continue
-            candidate = Mat.from_columns(cols + [v])
-            if candidate.rank() == len(cols) + 1:
-                cols.append(v)
+        cols = _independent_columns(cols + ker)
         basis = Mat.from_columns(cols)
         if basis.ncols != len(ker):
             raise ArithmeticError("kernel basis extension lost rank")
@@ -358,9 +354,7 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
         if prev_dim == 0:
             quotient = sub
         else:
-            prefix = Mat.from_columns(
-                [tuple(RatFunc.one() if r == j else RatFunc.zero() for r in range(basis.ncols)) for j in range(prev_dim)]
-            )
+            prefix = Mat.from_columns(Mat.identity(basis.ncols).columns()[:prev_dim])
             quotient = quotient_by_invariant_subspace(sub, prefix)
         qmu = casimir_level(quotient)
         if qmu != mu:

@@ -113,7 +113,20 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("argv,doc", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+# documents of the right JSON types but the wrong shape
+MISSHAPEN = [
+    ("validate empty matrix", ["validate"], {"dim": 0, "L1": [], "Lm1": []}),
+    ("validate empty row", ["validate"], {"dim": 1, "L1": [[]], "Lm1": [["1"]]}),
+    ("levels ragged rows", ["levels"], {"dim": 2, "L1": [["1", "0"], ["1"]], "Lm1": [["1", "0"], ["0", "1"]]}),
+    ("validate L1 not dim x dim", ["validate"], {"dim": 1, "L1": [["1", "2"]], "Lm1": [["1"]]}),
+    ("dual Lm1 not dim x dim", ["dual"], {"dim": 1, "L1": [["1"]], "Lm1": [["z^2 - z", "0"]]}),
+    ("ext build B1 not left x right", ["ext", "build"], {"left": REP, "right": REP, "B1": [["0", "0"]], "T": [["0"]]}),
+    ("ext casimir T not left x right", ["ext", "casimir"], {"left": REP, "right": REP, "B1": [["0"]], "T": [["0"], ["0"]]}),
+]
+CASES = [(" ".join(argv), argv, doc) for argv, doc in MALFORMED] + MISSHAPEN
+
+
+@pytest.mark.parametrize("argv,doc", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_malformed_document_is_an_input_error(argv, doc):
     proc = run_cli(argv, stdin_text=json.dumps(doc))
     assert proc.returncode == 1

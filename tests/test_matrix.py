@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -72,10 +73,70 @@ def test_mat_from_strings():
     assert m[0, 1] == 1 / (Z - 1)
 
 
-def test_kernel_solve_surface():
-    from sl2rat.matrix import kernel_solve
+def rand_ratfunc_mat(rng, n, m):
+    """Entries 0, linear polynomials or with a simple pole; about a quarter are zero."""
+    def entry():
+        r = rng.random()
+        if r < 0.25:
+            return RatFunc.zero()
+        p = RatFunc.constant(rng.randint(-3, 3)) + RatFunc.constant(rng.randint(-2, 2)) * Z
+        return p if r < 0.6 or p.is_zero() else p / (Z - rng.randint(-2, 2))
 
-    assert kernel_solve(Mat([[1, Z]])) == [(-Z, RatFunc.one())]
-    assert kernel_solve(Mat([[1]]), Mat([[Z ** 2]])) == Mat([[Z ** 2]])
-    with pytest.raises(ValueError):
-        kernel_solve(Mat([[1], [1]]), Mat([[1], [2]]))
+    return Mat([[entry() for _ in range(m)] for _ in range(n)])
+
+
+def leibniz_det(m):
+    total = RatFunc.zero()
+    for perm in itertools.permutations(range(m.nrows)):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = RatFunc.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total + term
+    return total
+
+
+def test_det_matches_leibniz_expansion():
+    rng = random.Random(11)
+    kinds = set()
+    for n in range(1, 5):
+        for k in range(8):
+            rows = rand_ratfunc_mat(rng, n, n).rows_list()
+            if k % 4 == 1:
+                rows[0][0] = RatFunc.zero()  # the first pivot needs a row swap
+            if k % 4 == 2 and n > 1:
+                rows[-1] = [a + Z * b for a, b in zip(rows[0], rows[1])]  # singular
+            m = Mat(rows)
+            d = m.det()
+            assert d == leibniz_det(m)
+            kinds.add(("zero lead" if m[0, 0].is_zero() else "lead", d.is_zero()))
+    assert kinds == {("zero lead", True), ("zero lead", False), ("lead", True), ("lead", False)}
+
+
+def test_rref_matches_sympy_on_rank_deficient_matrices():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def to_sympy(f):
+        def poly(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * z ** i for i, c in enumerate(p.coeffs))
+
+        return poly(f.num) / poly(f.den)
+
+    rng = random.Random(12)
+    ranks = []
+    for _ in range(8):
+        n, m = rng.randint(2, 4), rng.randint(3, 5)
+        r = min(n, m) - 1
+        a = rand_ratfunc_mat(rng, n, r) * rand_ratfunc_mat(rng, r, m)
+        R, pivots = a.rref()
+        ranks.append(len(pivots))
+        S, spivots = sympy.Matrix([[to_sympy(e) for e in row] for row in a.data]).rref(
+            iszerofunc=lambda e: sympy.cancel(e) == 0, simplify=sympy.cancel
+        )
+        assert pivots == tuple(spivots)
+        assert len(pivots) <= r < min(n, m)
+        for i in range(n):
+            for j in range(m):
+                assert sympy.cancel(S[i, j] - to_sympy(R[i, j])) == 0
+    assert max(ranks) >= 3

@@ -8,6 +8,7 @@ from helpers import (
     random_constant_casimir,
     random_invertible_T,
     random_nonzero_ratfunc,
+    random_rank1_extension,
 )
 from sl2rat.errors import (
     LevelOutsideBaseField,
@@ -18,6 +19,8 @@ from sl2rat.errors import (
     SingularMatrix,
     SingularOperator,
 )
+from sl2rat import k0
+from sl2rat.extension import ext_build
 from sl2rat.matrix import Mat
 from sl2rat.poly import Poly, pi_mu
 from sl2rat.ratfunc import RatFunc
@@ -277,3 +280,36 @@ def test_filtration_quotient_dims_two_one():
     assert len(comps) == 1 and comps[0].exponent == 2
     filt = canonical_filtration(comps[0])
     assert filt.quotient_dims() == (2, 1)
+
+
+def test_devissage_subquotients_pass_full_validation(monkeypatch):
+    """Subquotients are built from their closure certificate; full validate agrees."""
+    built = []
+
+    def recording(fn, parts):
+        def wrapper(*args):
+            out = fn(*args)
+            built.extend(parts(out))
+            return out
+
+        return wrapper
+
+    # the names k0 binds: level split, filtration, and the rank-1 splits
+    parts_of = {
+        "level_decompose": lambda comps: [c.rep for c in comps],
+        "canonical_filtration": lambda filt: [s.quotient for s in filt.steps],
+        "restrict_to_invariant_subspace": lambda rep: [rep],
+        "quotient_by_invariant_subspace": lambda rep: [rep],
+    }
+    for name, parts in parts_of.items():
+        monkeypatch.setattr(k0, name, recording(getattr(k0, name), parts))
+    rng = random.Random(31)
+    modules = build_corpus(seed=20240, count=60)
+    for _ in range(15):
+        d = random_rank1_extension(rng)
+        modules += [ext_build(d), d.left, d.right]
+    for rep in modules:
+        k0.devissage(rep)
+    assert len(built) > len(modules)
+    for sub in built:
+        validate(sub)
