@@ -387,7 +387,6 @@ def monic_divisors(p: Poly) -> List[Poly]:
     divisors = [Poly.one()]
     for fac, mult in facs:
         divisors = [d * fac ** e for d in divisors for e in range(mult + 1)]
-    divisors = [d.monic() for d in divisors]
     divisors.sort(key=lambda d: (d.degree, d.coeffs))
     return divisors
 

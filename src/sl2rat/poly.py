@@ -1,14 +1,21 @@
 """Exact univariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction`, stored densely in ascending order
-with no trailing zero, so the degree is exact and equality is structural.
-All arithmetic is exact; nothing here ever rounds.
+A polynomial is stored the way FLINT's `fmpq_poly` stores it: a tuple of
+integer numerators in ascending order with no trailing zero, over one
+positive common denominator that shares no prime with all of them
+(`gcd(denom, *ints) == 1`; the zero polynomial is `((), 1)`).  That pair is
+canonical, so equality and hashing compare integers and never build a
+`Fraction`.  `+`, `*`, `divmod` (pseudo-division by the integer lead),
+integer Taylor shifts, `monic`, `derivative` and `poly_gcd` work on the
+integers alone; `.coeffs`, the ascending tuple of `Fraction` coefficients,
+is built on first use and cached.  All arithmetic is exact; nothing here
+ever rounds.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -26,23 +33,27 @@ def _frac(x) -> Fraction:
 class Poly:
     """Dense polynomial in one variable with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_denom", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        denom = math.lcm(*[c.denominator for c in cs])
+        ints = [c.numerator * (denom // c.denominator) for c in cs]
+        while ints and not ints[-1]:
+            ints.pop()
+        self._ints: Tuple[int, ...] = tuple(ints)
+        self._denom: int = denom
+        self._coeffs: Optional[Tuple[Fraction, ...]] = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _ONE
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
@@ -59,30 +70,39 @@ class Poly:
     # -- basic structure ----------------------------------------------
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """Ascending `Fraction` coefficients, no trailing zero; built once."""
+        cs = self._coeffs
+        if cs is None:
+            d = self._denom
+            cs = self._coeffs = tuple(Fraction(c, d) for c in self._ints)
+        return cs
+
+    @property
     def degree(self) -> int:
         """Exact degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1], self._denom)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._ints) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._ints):
+            return Fraction(self._ints[k], self._denom)
         return Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -90,16 +110,16 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._ints == other._ints and self._denom == other._denom
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self._ints, self._denom))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     # -- ring operations ----------------------------------------------
 
@@ -107,18 +127,23 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, denom = self._ints, other._ints, self._denom
+        if denom != other._denom:
+            g = math.gcd(denom, other._denom)
+            a = [c * (other._denom // g) for c in a]
+            b = [c * (denom // g) for c in b]
+            denom = denom // g * other._denom
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _make(out, denom)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self._ints), self._denom)
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -136,15 +161,15 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
         if not a or not b:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return Poly(out)
+        return _make(out, self._denom * other._denom)
 
     __rmul__ = __mul__
 
@@ -161,25 +186,37 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> Tuple["Poly", "Poly"]:
+        # pseudo-division by the integer lead b[-1], scaling only the steps
+        # that do not divide exactly: scale * A = Q * B + R over Z
         other = _coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        b = other._ints
+        nb, lb = len(b) - 1, b[-1]
+        dq = len(self._ints) - 1 - nb
         if dq < 0:
-            return Poly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlead = other.lead
-        dcs = other.coeffs
+            return _ZERO, self
+        rem = list(self._ints)
+        quo = [0] * (dq + 1)
+        scale = 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(dcs) - 1] / dlead
-            quo[k] = c
-            if c:
-                for i, dc in enumerate(dcs):
-                    rem[k + i] -= c * dc
-        return Poly(quo), Poly(rem)
+            c = rem.pop()
+            if not c:
+                continue
+            q, r = divmod(c, lb)
+            if r:
+                s = abs(lb) // math.gcd(c, lb)
+                rem = [v * s for v in rem]
+                quo = [v * s for v in quo]
+                scale *= s
+                q = c * s // lb
+            quo[k] = q
+            for i in range(nb):
+                rem[k + i] -= q * b[i]
+        denom = scale * self._denom
+        return _make([v * other._denom for v in quo], denom), _make(rem, denom)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -192,15 +229,24 @@ class Poly:
     def eval(self, x: Scalar) -> Fraction:
         x = _frac(x)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self._ints):
             acc = acc * x + c
-        return acc
+        return acc / self._denom
 
     def shifted(self, a: Scalar) -> "Poly":
-        """Taylor shift: p(z) -> p(z + a)."""
+        """Taylor shift: p(z) -> p(z + a); in place on the integers when a is an integer."""
         a = _frac(a)
         if a == 0 or self.is_zero():
             return self
+        if a.denominator == 1:
+            # z -> z + a is unimodular on Z[z]: the content and the denominator stay
+            a = a.numerator
+            c = list(self._ints)
+            n = len(c)
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    c[j] += a * c[j + 1]
+            return _raw(tuple(c), self._denom)
         acc = Poly.zero()
         za = Poly((a, 1))
         for c in reversed(self.coeffs):
@@ -208,21 +254,21 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return _make([i * c for i, c in enumerate(self._ints)][1:], self._denom)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        if self.lead == 1:
+        lead = self._ints[-1]
+        if lead == self._denom:
             return self
-        inv = 1 / self.lead
-        return Poly(tuple(c * inv for c in self.coeffs))
+        return _make(list(self._ints), lead)
 
     def mean_of_roots(self) -> Fraction:
         """(sum of roots) / degree, exact for rational coefficients."""
         if self.degree < 1:
             raise ValueError("constant polynomial has no roots")
-        return -self.coeffs[-2] / (self.degree * self.lead) if len(self.coeffs) >= 2 else Fraction(0)
+        return Fraction(-self._ints[-2], self.degree * self._ints[-1])
 
     # -- presentation --------------------------------------------------
 
@@ -231,6 +277,33 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self, 'z')!r})"
+
+
+def _raw(ints: Tuple[int, ...], denom: int) -> Poly:
+    """A Poly from a pair already in canonical form."""
+    p = object.__new__(Poly)
+    p._ints, p._denom, p._coeffs = ints, denom, None
+    return p
+
+
+def _make(ints: List[int], denom: int) -> Poly:
+    """The canonical Poly of ints / denom (denom nonzero, either sign)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _ZERO
+    if denom != 1:
+        g = math.gcd(denom, *ints)
+        if denom < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            denom //= g
+    return _raw(tuple(ints), denom)
+
+
+_ZERO = _raw((), 1)
+_ONE = _raw((1,), 1)
 
 
 def _coerce(x) -> Optional[Poly]:
@@ -245,21 +318,18 @@ def _coerce(x) -> Optional[Poly]:
 
 
 def _int_primitive(a: Sequence[int]) -> Tuple[int, ...]:
-    g = 0
-    for v in a:
-        g = math.gcd(g, abs(v))
+    """a divided by its content, lead made positive; () for zero."""
+    g = math.gcd(*a)
     if g == 0:
         return ()
-    sign = -1 if a[-1] < 0 else 1
-    return tuple(v // (g * sign) for v in a)
+    if a[-1] < 0:
+        g = -g
+    return tuple(v // g for v in a)
 
 
 def _to_int_primitive(p: Poly) -> Tuple[int, ...]:
     """The primitive integer polynomial with positive lead that is a rational multiple of p."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return _int_primitive([int(c * den) for c in p.coeffs])
+    return _int_primitive(p._ints)
 
 
 def _int_prem(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
@@ -283,11 +353,16 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals, computed with a primitive integer PRS."""
+    """Monic gcd over the rationals, computed with a primitive integer PRS.
+
+    A nonzero constant argument is a unit, so the gcd is 1 and no PRS runs.
+    """
     if p.is_zero():
         return q.monic() if not q.is_zero() else Poly.zero()
     if q.is_zero():
         return p.monic()
+    if p.is_constant() or q.is_constant():
+        return Poly.one()
     a = _to_int_primitive(p)
     b = _to_int_primitive(q)
     if len(a) < len(b):
@@ -295,7 +370,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     while b:
         r = _int_primitive(_int_prem(a, b))
         a, b = b, r
-    return Poly(a).monic()
+    return _raw(a, 1).monic()
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -330,8 +405,9 @@ def format_poly(p: Poly, var: str = "z") -> str:
     if p.is_zero():
         return "0"
     parts = []
+    cs = p.coeffs
     for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
+        c = cs[k]
         if c == 0:
             continue
         neg = c < 0

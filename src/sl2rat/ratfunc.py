@@ -3,6 +3,12 @@
 A RatFunc is a pair (num, den) with den monic and gcd(num, den) = 1, so
 equality is structural equality of canonical forms.  This is the scalar
 field for every matrix and representation in the library.
+
+Normalisation skips the gcd where it is 1 by definition (Knuth, TAOCP
+vol. 2, 4.5.1): construction runs no gcd when the numerator or the
+denominator is a constant, and `+` and `*` of two polynomials (both
+denominators constant, so both 1, being monic) return the sum or product
+over 1, which is already canonical.
 """
 from __future__ import annotations
 
@@ -38,9 +44,10 @@ class RatFunc:
         if np.is_zero():
             self.num, self.den = Poly.zero(), Poly.one()
             return
-        g = poly_gcd(np, dp)
-        if g.degree > 0:
-            np, dp = np // g, dp // g
+        if not (np.is_constant() or dp.is_constant()):
+            g = poly_gcd(np, dp)
+            if g.degree > 0:
+                np, dp = np // g, dp // g
         c = dp.lead
         if c != 1:
             inv = 1 / c
@@ -101,7 +108,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -112,6 +119,8 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.is_constant() and other.den.is_constant():
+            return RatFunc._raw(self.num + other.num, Poly.one())
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -135,6 +144,8 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.is_constant() and other.den.is_constant():
+            return RatFunc._raw(self.num * other.num, Poly.one())
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -260,16 +260,17 @@ def _independent_columns(cols: List[Tuple[RatFunc, ...]]) -> List[Tuple[RatFunc,
 def restrict_to_invariant_subspace(rep: RationalRep, basis: Mat) -> RationalRep:
     """Representation on the column span of `basis`; NotInvariant when not closed.
 
-    `rep` must be a module.  Certificate: with P of full column rank, the
-    closure solve gives P residual(Ares, Bres) = residual(A, B) P = 0.
+    `rep` must be a module.  Certificate: one rref of [P | B P(z+1) | A P(z-1)]
+    shows P of full column rank and gives P Bres = B P(z+1), P Ares = A P(z-1),
+    so P residual(Ares, Bres) = residual(A, B) P = 0.
     """
-    if basis.rank() != basis.ncols:
-        raise ValueError("basis columns must be independent")
     k = basis.ncols
-    sol = basis.solve((rep.B * basis.shifted(1)).hstack(rep.A * basis.shifted(-1)))
-    if sol is None:
+    R, pivots = basis.hstack(rep.B * basis.shifted(1)).hstack(rep.A * basis.shifted(-1)).rref()
+    if pivots[:k] != tuple(range(k)):
+        raise ValueError("basis columns must be independent")
+    if len(pivots) > k:
         raise NotInvariant("column span is not closed under the operators")
-    return RationalRep(k, sol.submatrix(range(k), range(k, 2 * k)), sol.submatrix(range(k), range(k)))
+    return RationalRep(k, R.submatrix(range(k), range(2 * k, 3 * k)), R.submatrix(range(k), range(k, 2 * k)))
 
 
 def _complete_basis(P: Mat) -> Mat:

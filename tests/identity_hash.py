@@ -1,0 +1,135 @@
+"""Print one sha256 over seeded outputs of the Poly, RatFunc, Mat and module layers.
+
+    PYTHONPATH=<checkout>/src python3 tests/identity_hash.py
+
+Two checkouts that print the same hash gave byte-identical answers on:
+rref, kernel, det, inverse and solve of 400 seeded matrices; factor_poly,
+poly_gcd, partial_fractions and shifted on 2,000 seeded polynomials and
+rational functions; the devissage class and tree, the level components and
+the filtration steps of 500 modules.
+"""
+import hashlib
+import random
+import sys
+from fractions import Fraction
+
+from helpers import build_corpus, random_rank1_extension
+from sl2rat.errors import Sl2RatError
+from sl2rat.extension import ext_build
+from sl2rat.factor import factor_poly
+from sl2rat.k0 import devissage, serialize_rep
+from sl2rat.matrix import Mat
+from sl2rat.poly import Poly, poly_gcd
+from sl2rat.ratfunc import RatFunc, partial_fractions
+from sl2rat.rep import canonical_filtration, level_decompose
+
+H = hashlib.sha256()
+COUNTS = {}
+
+
+def emit(tag, text):
+    COUNTS[tag] = COUNTS.get(tag, 0) + 1
+    H.update(f"{tag}:{text}\n".encode())
+
+
+def rand_coeff(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3, 4]))
+
+
+def rand_poly(rng, deg):
+    return Poly([rand_coeff(rng) for _ in range(deg + 1)])
+
+
+def rand_factored(rng):
+    """A product of small linear/quadratic factors times a non-unit constant."""
+    p = Poly.constant(rng.choice([1, -1, 2, Fraction(-3, 2), Fraction(5, 7), 6]))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.7:
+            f = Poly((Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])), 1))
+        else:
+            f = Poly((rng.randint(-3, 3), rng.randint(-2, 2), rng.choice([1, 2, -3])))
+        p = p * f ** rng.randint(1, 2)
+    return p
+
+
+def rand_entry(rng):
+    if rng.random() < 0.3:
+        return RatFunc.zero()
+    num = rand_poly(rng, rng.randint(0, 2))
+    if num.is_zero():
+        num = Poly.one()
+    den = Poly.one()
+    if rng.random() < 0.4:
+        for _ in range(rng.randint(1, 2)):
+            den = den * Poly((Fraction(rng.randint(-3, 3), rng.choice([1, 2])), rng.choice([1, 2, -1])))
+    return RatFunc(num, den)
+
+
+def matrices(rng):
+    for _ in range(400):
+        n = rng.choice([1, 2, 2, 3, 3, 4, 4, 5])
+        m = n if rng.random() < 0.7 else rng.randint(1, 5)
+        M = Mat([[rand_entry(rng) for _ in range(m)] for _ in range(n)])
+        R, piv = M.rref()
+        emit("rref", f"{R}|{piv}")
+        emit("kernel", "|".join(",".join(map(str, v)) for v in M.kernel()))
+        rhs = Mat([[rand_entry(rng)] for _ in range(n)])
+        emit("solve", str(M.solve(rhs)))
+        if n == m:
+            d = M.det()
+            emit("det", str(d))
+            emit("inverse", str(M.inverse()) if not d.is_zero() else "singular")
+
+
+def polys(rng):
+    shifts = [0, 1, -1, 3, -3, Fraction(1, 2)]
+    for _ in range(2000):
+        p = rand_factored(rng) * rand_poly(rng, rng.randint(0, 3))
+        if not p.is_zero():
+            lead, facs = factor_poly(p)
+            emit("factor", f"{lead}|" + ";".join(f"{f}^{e}" for f, e in facs))
+        q = rand_factored(rng) * rand_poly(rng, rng.randint(0, 2))
+        common = rand_factored(rng)
+        emit("gcd", str(poly_gcd(p * common, q * common)))
+        emit("gcd0", str(poly_gcd(p, q)))
+        for a in shifts:
+            emit("shift", str(p.shifted(a)))
+        if not q.is_zero():
+            f = RatFunc(p, q)
+            poly_part, pieces = partial_fractions(f)
+            emit("pf", f"{poly_part}|" + ";".join(f"{a}/({b})^{j}" for b, j, a in pieces))
+            emit("rf", f"{f}|{f.shifted(1)}|{f.shifted(Fraction(-1, 2))}|{f * f + f}")
+
+
+def modules():
+    reps = build_corpus(seed=20240, count=200)
+    rng = random.Random(4242)
+    for _ in range(100):
+        d = random_rank1_extension(rng)
+        reps.extend([ext_build(d), d.left, d.right])
+    for rep in reps:
+        try:
+            cls, tree = devissage(rep)
+            emit("devissage", repr(cls) + tree.serialize())
+        except Sl2RatError as e:
+            emit("devissage", f"error {type(e).__name__} {e}")
+        for comp in level_decompose(rep):
+            emit("level", f"{comp.level}|{comp.exponent}|{comp.basis}|{serialize_rep(comp.rep)}")
+            for step in canonical_filtration(comp).steps:
+                emit("filtration", f"{step.basis}|{serialize_rep(step.quotient)}")
+
+
+def main():
+    parts = sys.argv[1:] or ["matrices", "polys", "modules"]
+    if "matrices" in parts:
+        matrices(random.Random(900))
+    if "polys" in parts:
+        polys(random.Random(901))
+    if "modules" in parts:
+        modules()
+    print(sorted(COUNTS.items()), file=sys.stderr)
+    print(H.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,214 @@
+"""The integer-numerator Poly kernel against a plain Fraction-list reference.
+
+Every result must equal the reference coefficient by coefficient and be in
+canonical form: integer numerators with no trailing zero over a positive
+denominator that shares no prime with all of them.  `.coeffs` alone cannot
+show a broken form, since Fraction normalises signs and common factors.
+"""
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from sl2rat.poly import Poly, poly_gcd
+from sl2rat.ratfunc import RatFunc
+
+SHIFTS = [0, 1, -1, 3, -3, Fraction(1, 2)]
+
+
+# -- the reference: dense ascending Fraction lists -----------------------------
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    if len(rem) < len(b):
+        return [], _trim(rem)
+    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] -= c * y
+    return _trim(quo), _trim(rem)
+
+
+def ref_shift(a, s):
+    """Horner: p(z + s) = (...(c_n (z + s) + c_{n-1})(z + s) + ...) + c_0."""
+    acc = []
+    for c in reversed(a):
+        acc = [c + s * acc[0]] + [x + s * y for x, y in zip(acc, acc[1:])] + acc[-1:] if acc else [c]
+    return _trim(acc)
+
+
+def ref_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def ref_gcd(a, b):
+    """Monic Euclid over Q."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a) if a else []
+
+
+# -- checks ------------------------------------------------------------------------
+
+
+def canonical(p: Poly) -> Poly:
+    ints, denom = p._ints, p._denom
+    assert all(type(c) is int for c in ints) and type(denom) is int
+    assert denom > 0
+    assert math.gcd(denom, *ints) == 1
+    assert not ints or ints[-1] != 0
+    if not ints:
+        assert denom == 1
+    return p
+
+
+def same(p: Poly, ref) -> None:
+    canonical(p)
+    assert list(p.coeffs) == _trim(ref)
+    built = Poly(ref)
+    assert p == built and hash(p) == hash(built)
+
+
+def random_coeffs(rng: random.Random):
+    kind = rng.random()
+    if kind < 0.06:
+        return []
+    if kind < 0.16:
+        return [Fraction(rng.choice([-6, -3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))]
+    deg = rng.randint(1, 6)
+    cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6])) for _ in range(deg)]
+    lead = Fraction(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3]))
+    return cs + [lead]
+
+
+def test_differential_against_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(5000):
+        a, b = random_coeffs(rng), random_coeffs(rng)
+        p, q = canonical(Poly(a)), canonical(Poly(b))
+        assert list(p.coeffs) == a
+        same(p + q, [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
+        same(p - q, [x - y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
+        same(-p, [-x for x in a])
+        same(p * q, ref_mul(a, b))
+        same(p.derivative(), [i * c for i, c in enumerate(a)][1:])
+        if b:
+            quo, rem = divmod(p, q)
+            rq, rr = ref_divmod(a, b)
+            same(quo, rq)
+            same(rem, rr)
+            same(q.monic(), ref_monic(b))
+        same(poly_gcd(p, q), ref_gcd(a, b))
+        same(poly_gcd(p * q, q), ref_gcd(ref_mul(a, b), b))
+        for s in SHIFTS:
+            same(p.shifted(s), ref_shift(a, s))
+        x = Fraction(rng.randint(-5, 5), rng.choice([1, 3]))
+        assert p.eval(x) == sum(c * x ** i for i, c in enumerate(a))
+
+
+def test_negative_non_unit_divisor_lead_keeps_a_positive_denominator():
+    p = Poly([1, 0, 0, 5])
+    q = Poly([1, Fraction(2, 3), -3])
+    quo, rem = divmod(p, q)
+    canonical(quo)
+    canonical(rem)
+    assert quo * q + rem == p
+    g = poly_gcd(p * q, q * Poly([2, -5]))
+    assert canonical(g) == q.monic()
+    assert (q * Poly([-4])).monic() == q.monic()
+
+
+def test_scalars_and_constants_keep_the_public_types():
+    p = Poly(["1/2", 3, Fraction(-5, 4)])
+    assert p.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-5, 4))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert type(p.lead) is Fraction and p.lead == Fraction(-5, 4)
+    assert type(p.coefficient(0)) is Fraction and p.coefficient(7) == 0
+    assert Poly([Fraction(7, 3)]).constant_value() == Fraction(7, 3)
+    assert type(Poly.zero().constant_value()) is Fraction
+    assert poly_gcd(Poly([3]), p) == Poly.one() == poly_gcd(p, Poly([Fraction(-1, 2)]))
+    assert poly_gcd(Poly.zero(), Poly([Fraction(-2, 3)])) == Poly.one()
+    assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+    assert p == p.shifted(0) and p.shifted(2).shifted(-2) == p
+    with pytest.raises(TypeError):
+        Poly([0.5])
+
+
+# -- RatFunc fast paths ------------------------------------------------------------
+
+
+def _general(num: Poly, den: Poly) -> RatFunc:
+    """RatFunc built through the full gcd normalisation."""
+    return RatFunc(num * Poly([1, 1]), den * Poly([1, 1]))
+
+
+def test_ratfunc_fast_paths_equal_the_general_form():
+    rng = random.Random(4511)
+
+    def operand():
+        num, den = Poly(random_coeffs(rng)), Poly(random_coeffs(rng))
+        return RatFunc(num) if den.is_zero() or rng.random() < 0.6 else RatFunc(num, den)
+
+    for _ in range(1500):
+        f, g = operand(), operand()
+        for got, want in (
+            (f + g, _general(f.num * g.den + g.num * f.den, f.den * g.den)),
+            (f * g, _general(f.num * g.num, f.den * g.den)),
+        ):
+            assert (got.num, got.den) == (want.num, want.den)
+            assert hash(got) == hash(want)
+            canonical(got.num)
+            canonical(got.den)
+        # construction with a constant numerator or denominator skips the gcd
+        p, q = f.num, g.den * Poly(random_coeffs(rng) or [1])
+        for num, den in ((p, Poly([q.coefficient(0) or 1])), (Poly([p.coefficient(0) or 3]), q)):
+            got, want = RatFunc(num, den), _general(num, den)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.den.lead == 1
+
+
+# -- ring axioms ------------------------------------------------------------------
+
+
+def test_ring_axioms_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    poly = st.lists(coeff, max_size=6).map(Poly)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(poly, poly, poly, st.integers(-4, 4))
+    def axioms(p, q, r, k):
+        for x in (p + q, p * q, (p * q).shifted(k), p - p):
+            canonical(x)
+        assert p + q == q + p and p * q == q * p
+        assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert p + Poly.zero() == p and p * Poly.one() == p and (p - p).is_zero()
+        assert (p * q).shifted(k) == p.shifted(k) * q.shifted(k)
+        if not q.is_zero():
+            quo, rem = divmod(p, q)
+            assert quo * q + rem == p and rem.degree < q.degree
+
+    axioms()
