@@ -312,8 +312,12 @@ def _vector_text(v: Sequence[RatFunc]) -> str:
     return "(" + ", ".join(str(e) for e in v) + ")"
 
 
-def _composition_leaves(rep: RationalRep, seed: int) -> Tuple[List[FactorLeaf], bool]:
-    mu = require_casimir(rep)
+def _composition_leaves(
+    rep: RationalRep, seed: int, mu: Optional[Fraction] = None
+) -> Tuple[List[FactorLeaf], bool]:
+    """Leaves of a Casimir module; `mu` is its level when a caller has already certified it."""
+    if mu is None:
+        mu = require_casimir(rep)
     leaves: List[FactorLeaf] = []
     complete = True
 
@@ -385,7 +389,8 @@ def devissage(rep: RationalRep, seed: int = 0) -> Tuple[K0Class, DevissageTree]:
         filtration = canonical_filtration(comp)
         steps: List[StepNode] = []
         for idx, step in enumerate(filtration.steps, start=1):
-            leaves, ok = _composition_leaves(step.quotient, seed)
+            # canonical_filtration certified every quotient Casimir of this level
+            leaves, ok = _composition_leaves(step.quotient, seed, filtration.level)
             complete = complete and ok
             for leaf in leaves:
                 counts[leaf.key] = counts.get(leaf.key, 0) + 1

@@ -14,6 +14,14 @@ decomposition, the canonical filtration, and everything downstream.
 Modules built from outside data go through `make_rep` (the identity and both
 determinants); a restriction or quotient of a module is not re-validated,
 because the closure check that builds it is an exact certificate.
+
+The level split and the filtration skip what a theorem already settles.
+When C is entry by entry mu * Id (the certificate `casimir_level` uses),
+the module is one component of level mu and exponent 1, and its filtration
+is one step whose quotient is the module itself.  When the minimal
+polynomial is a single (t - mu)^e, (C - mu)^e = 0, so the generalized
+eigenspace is the whole module.  In both cases the kernel and restriction
+of the general path would return the unit basis and the same matrices.
 """
 from __future__ import annotations
 
@@ -134,19 +142,23 @@ def _constant_entry(f: RatFunc) -> Optional[Fraction]:
     return None
 
 
-def casimir_level(rep: RationalRep) -> Optional[Fraction]:
-    """The level when the rep is Casimir (C = mu * Id), else None."""
-    C = casimir_matrix(rep)
+def _scalar_level(C: Mat) -> Optional[Fraction]:
+    """mu when C = mu * Id entry by entry, else None."""
     mu = _constant_entry(C[0, 0])
     if mu is None:
         return None
-    n = rep.dim
+    n = C.nrows
     for i in range(n):
         for j in range(n):
             want = mu if i == j else 0
             if C[i, j] != RatFunc.constant(want):
                 return None
     return mu
+
+
+def casimir_level(rep: RationalRep) -> Optional[Fraction]:
+    """The level when the rep is Casimir (C = mu * Id), else None."""
+    return _scalar_level(casimir_matrix(rep))
 
 
 def is_casimir(rep: RationalRep) -> bool:
@@ -307,14 +319,23 @@ def quotient_by_invariant_subspace(rep: RationalRep, basis: Mat) -> RationalRep:
 
 
 def level_decompose(rep: RationalRep) -> List[LevelComponent]:
-    """Split into generalized Casimir components along the Casimir minpoly."""
+    """Split into generalized Casimir components along the Casimir minpoly.
+
+    A single level is the whole module on the unit basis (module docstring).
+    """
+    C = casimir_matrix(rep)
+    mu = _scalar_level(C)
+    if mu is not None:
+        return [LevelComponent(mu, 1, Mat.identity(rep.dim), rep)]
     mp = casimir_minpoly(rep)
     _, facs = factor_poly(mp)
     for fac, _ in facs:
         if fac.degree > 1:
             raise LevelOutsideBaseField(fac)
     levels = sorted((-fac.coefficient(0), mult) for fac, mult in facs)
-    C = casimir_matrix(rep)
+    if len(levels) == 1:
+        mu, mult = levels[0]
+        return [LevelComponent(mu, mult, Mat.identity(rep.dim), rep)]
     out = []
     total = 0
     for mu, mult in levels:
@@ -333,10 +354,16 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
 
 
 def canonical_filtration(comp: LevelComponent) -> Filtration:
-    """V^i = ker(C - mu)^i inside the component; quotients are Casimir of level mu."""
+    """V^i = ker(C - mu)^i inside the component; quotients are Casimir of level mu.
+
+    An exponent-1 component with C = mu Id is its own single quotient; any
+    other component, consistent or not, takes the general loop.
+    """
     rep = comp.rep
     mu = comp.level
     C = casimir_matrix(rep)
+    if comp.exponent == 1 and _scalar_level(C) == mu:
+        return Filtration(mu, (FiltrationStep(Mat.identity(rep.dim), rep),))
     N = C - Mat.diag([RatFunc.constant(mu)] * rep.dim)
     cols: List[Tuple[RatFunc, ...]] = []
     steps: List[FiltrationStep] = []

@@ -6,7 +6,11 @@ Two checkouts that print the same hash gave byte-identical answers on:
 rref, kernel, det, inverse and solve of 400 seeded matrices; factor_poly,
 poly_gcd, partial_fractions and shifted on 2,000 seeded polynomials and
 rational functions; the devissage class and tree, the level components and
-the filtration steps of 500 modules.
+the filtration steps of 500 modules.  The `monoidal` part, named on its
+own, hashes the tensor product with the next module, the internal Hom from
+it and the dual of 120 corpus modules of dims 1-4:
+
+    PYTHONPATH=<checkout>/src python3 tests/identity_hash.py monoidal
 """
 import hashlib
 import random
@@ -19,6 +23,7 @@ from sl2rat.extension import ext_build
 from sl2rat.factor import factor_poly
 from sl2rat.k0 import devissage, serialize_rep
 from sl2rat.matrix import Mat
+from sl2rat.monoidal import dual, internal_hom, tensor
 from sl2rat.poly import Poly, poly_gcd
 from sl2rat.ratfunc import RatFunc, partial_fractions
 from sl2rat.rep import canonical_filtration, level_decompose
@@ -119,6 +124,14 @@ def modules():
                 emit("filtration", f"{step.basis}|{serialize_rep(step.quotient)}")
 
 
+def monoidal():
+    reps = build_corpus(seed=20241, count=120)
+    for a, b in zip(reps, reps[1:] + reps[:1]):
+        emit("tensor", serialize_rep(tensor(a, b)))
+        emit("hom", serialize_rep(internal_hom(a, b)))
+        emit("dual", serialize_rep(dual(a)))
+
+
 def main():
     parts = sys.argv[1:] or ["matrices", "polys", "modules"]
     if "matrices" in parts:
@@ -127,6 +140,8 @@ def main():
         polys(random.Random(901))
     if "modules" in parts:
         modules()
+    if "monoidal" in parts:
+        monoidal()
     print(sorted(COUNTS.items()), file=sys.stderr)
     print(H.hexdigest())
 

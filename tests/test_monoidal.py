@@ -131,3 +131,11 @@ def test_monoidal_outputs_validate_and_have_constant_minpoly():
         for out in (tensor(a, b), internal_hom(a, b)):
             validate(out)
             casimir_minpoly(out)  # raises on non-constant coefficients
+
+
+def test_monoidal_outputs_pass_full_validation():
+    """Outputs check only the residual; both determinants still hold in full validate."""
+    reps = build_corpus(seed=77, count=40)
+    for a, b in zip(reps, reps[1:] + reps[:1]):
+        for out in (tensor(a, b), internal_hom(a, b), dual(a)):
+            assert validate(out) is out

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     build_corpus,
+    random_casimir_from_L1,
     random_constant_casimir,
     random_invertible_T,
     random_nonzero_ratfunc,
@@ -21,10 +22,14 @@ from sl2rat.errors import (
 )
 from sl2rat import k0
 from sl2rat.extension import ext_build
+from sl2rat.factor import factor_poly
 from sl2rat.matrix import Mat
 from sl2rat.poly import Poly, pi_mu
 from sl2rat.ratfunc import RatFunc
 from sl2rat.rep import (
+    Filtration,
+    FiltrationStep,
+    LevelComponent,
     RationalRep,
     canonical_filtration,
     casimir_from_L1,
@@ -313,3 +318,66 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
     assert len(built) > len(modules)
     for sub in built:
         validate(sub)
+
+
+def _reference_level_decompose(rep):
+    """The general path: kernel of (C - mu)^e for every level, then the restriction."""
+    _, facs = factor_poly(casimir_minpoly(rep))
+    C = casimir_matrix(rep)
+    out = []
+    for mu, e in sorted((-fac.coefficient(0), e) for fac, e in facs):
+        M = C - Mat.diag([RatFunc.constant(mu)] * rep.dim)
+        Me = Mat.identity(rep.dim)
+        for _ in range(e):
+            Me = Me * M
+        basis = Mat.from_columns(Me.kernel())
+        out.append(LevelComponent(mu, e, basis, restrict_to_invariant_subspace(rep, basis)))
+    return out
+
+
+def _reference_filtration(comp):
+    """The nested-kernel filtration V^i = ker N^i with quotients V^i / V^(i-1)."""
+    rep = comp.rep
+    N = casimir_matrix(rep) - Mat.diag([RatFunc.constant(comp.level)] * rep.dim)
+    Np = Mat.identity(rep.dim)
+    cols, steps = [], []
+    for _ in range(comp.exponent):
+        Np = Np * N
+        candidates = cols + Np.kernel()
+        _, pivots = Mat.from_columns(candidates).rref()
+        prev = len(cols)
+        cols = [candidates[j] for j in pivots]
+        basis = Mat.from_columns(cols)
+        sub = restrict_to_invariant_subspace(rep, basis)
+        if prev:
+            prefix = Mat.from_columns(Mat.identity(len(cols)).columns()[:prev])
+            sub = quotient_by_invariant_subspace(sub, prefix)
+        steps.append(FiltrationStep(basis, sub))
+    return Filtration(comp.level, tuple(steps))
+
+
+def test_level_and_filtration_shortcuts_match_general_path():
+    modules = build_corpus(seed=20240, count=120)
+    rng = random.Random(47)
+    for _ in range(30):
+        d = random_rank1_extension(rng)
+        modules += [ext_build(d), d.left, d.right]
+    modules.append(random_casimir_from_L1(rng, 4))  # the corpus has no scalar module of dim 4
+    kinds = set()
+    for rep in modules:
+        comps = level_decompose(rep)
+        assert comps == _reference_level_decompose(rep)
+        for comp in comps:
+            assert canonical_filtration(comp) == _reference_filtration(comp)
+        if casimir_level(rep) is not None:
+            kinds.add(("scalar", rep.dim))
+        else:
+            kinds.add("one level" if len(comps) == 1 else "several levels")
+    assert {("scalar", d) for d in (1, 2, 3, 4)} | {"one level", "several levels"} <= kinds
+
+
+def test_filtration_of_inconsistent_exponent_one_component_raises():
+    # C is nilpotent but not 0 * Id, so exponent 1 cannot exhaust the module
+    comp = LevelComponent(Fraction(0), 1, Mat.identity(2), t1_extension())
+    with pytest.raises(ArithmeticError, match="filtration must exhaust the component"):
+        canonical_filtration(comp)
