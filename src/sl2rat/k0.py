@@ -312,12 +312,8 @@ def _vector_text(v: Sequence[RatFunc]) -> str:
     return "(" + ", ".join(str(e) for e in v) + ")"
 
 
-def _composition_leaves(
-    rep: RationalRep, seed: int, mu: Optional[Fraction] = None
-) -> Tuple[List[FactorLeaf], bool]:
-    """Leaves of a Casimir module; `mu` is its level when a caller has already certified it."""
-    if mu is None:
-        mu = require_casimir(rep)
+def _composition_leaves(rep: RationalRep, seed: int, mu: Fraction) -> Tuple[List[FactorLeaf], bool]:
+    """Leaves of a Casimir module whose level `mu` the caller has certified."""
     leaves: List[FactorLeaf] = []
     complete = True
 
@@ -376,7 +372,7 @@ def composition_factors(rep: RationalRep, seed: int = 0) -> Tuple[List[FactorKey
     irreducible (a proper submodule would have dim 1, or dim 2 with a
     rank-1 quotient above it), so leaves of dim <= 3 are certified.
     """
-    leaves, complete = _composition_leaves(rep, seed)
+    leaves, complete = _composition_leaves(rep, seed, require_casimir(rep))
     return [leaf.key for leaf in leaves], complete
 
 

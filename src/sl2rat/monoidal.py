@@ -15,18 +15,12 @@ with N_i the nilpotent parts.  This agrees entry-for-entry with the scalar
 formula on Casimir components, always validates, and has nilpotent part
 N1 (x) Id + Id (x) N2 of exponent <= n1 + n2 - 1.  Vectorization of Hom
 carriers is column-major: vec stacks the columns of an (m2 x m1) matrix.
-
-Certificate: the outputs check the commutation residual and no
-determinant.  B_t(z-1) is invertible, or `_complete` raises SingularMatrix
-when it inverts it; and det A_t = pi_mu^n / det B_t(z-1) is nonzero,
-because M = N1 (x) Id + Id (x) N2 is nilpotent (two commuting nilpotents).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Tuple
 
-from .errors import NotARepresentation
 from .matrix import Mat
 from .poly import pi_mu
 from .ratfunc import RatFunc
@@ -34,8 +28,8 @@ from .rep import (
     LevelComponent,
     RationalRep,
     casimir_matrix,
-    commutation_residual,
     level_decompose,
+    make_rep,
     rank1,
 )
 
@@ -81,15 +75,10 @@ def _pairwise(
     r2: RationalRep,
     combine: Callable[[LevelComponent, LevelComponent], Tuple[Mat, Mat]],
 ) -> RationalRep:
-    """Direct sum of the component blocks; the commutation residual is checked once."""
+    """Direct sum of the component blocks, validated once as a whole."""
     comps2 = level_decompose(r2)
     blocks = [combine(c1, c2) for c1 in level_decompose(r1) for c2 in comps2]
-    A = Mat.block_diag([a for a, _ in blocks])
-    B = Mat.block_diag([b for _, b in blocks])
-    residual = commutation_residual(A, B)
-    if not residual.is_zero():
-        raise NotARepresentation(residual)
-    return RationalRep(A.nrows, A, B)
+    return make_rep(Mat.block_diag([A for A, _ in blocks]), Mat.block_diag([B for _, B in blocks]))
 
 
 def tensor(r1: RationalRep, r2: RationalRep) -> RationalRep:

@@ -134,7 +134,7 @@ def test_monoidal_outputs_validate_and_have_constant_minpoly():
 
 
 def test_monoidal_outputs_pass_full_validation():
-    """Outputs check only the residual; both determinants still hold in full validate."""
+    """Full validate, determinants included, holds on tensor, internal Hom and dual outputs."""
     reps = build_corpus(seed=77, count=40)
     for a, b in zip(reps, reps[1:] + reps[:1]):
         for out in (tensor(a, b), internal_hom(a, b), dual(a)):
