@@ -33,16 +33,32 @@ class Mat:
             raise ValueError("ragged rows")
         self.data = data
 
+    @classmethod
+    def _of(cls, rows: Iterable[Iterable[RatFunc]]) -> "Mat":
+        """A Mat from rows that are RatFunc by construction, with no coercion or check.
+
+        Precondition: at least one row, every row of the same nonzero length,
+        and every entry a `RatFunc`.  Results of Mat operations on Mats meet
+        it; anything built from outside input goes through `Mat(...)`.
+        """
+        m = object.__new__(cls)
+        m.data = tuple(tuple(row) for row in rows)
+        return m
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            return Mat([])
+        one, zero = RatFunc.one(), RatFunc.zero()
+        return Mat._of([one if i == j else zero for j in range(n)] for i in range(n))
 
     @staticmethod
     def diag(entries: Sequence[Entry]) -> "Mat":
         n = len(entries)
-        return Mat([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        zero = RatFunc.zero()
+        return Mat([[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
     def column(entries: Sequence[Entry]) -> "Mat":
@@ -102,15 +118,15 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Mat(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Mat._of(
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Mat(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Mat._of(
+            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)
         )
 
     def __neg__(self) -> "Mat":
@@ -123,12 +139,7 @@ class Mat:
                     f"dimension mismatch: ({self.nrows}x{self.ncols}) * ({other.nrows}x{other.ncols})"
                 )
             cols = other.columns()
-            return Mat(
-                [
-                    [_dot(row, col) for col in cols]
-                    for row in self.data
-                ]
-            )
+            return Mat._of([_dot(row, col) for col in cols] for row in self.data)
         scalar = as_ratfunc(other)
         return self.map(lambda e: e * scalar)
 
@@ -140,10 +151,10 @@ class Mat:
         """Entrywise shift automorphism z -> z + k."""
         if k == 0:
             return self
-        return self.map(lambda e: e.shifted(k))
+        return Mat._of([e.shifted(k) for e in row] for row in self.data)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return Mat._of(zip(*self.data))
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product: block (i, j) is self[i,j] * other."""
@@ -160,7 +171,7 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Mat([list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)])
+        return Mat._of(r1 + r2 for r1, r2 in zip(self.data, other.data))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
         return Mat([[self.data[i][j] for j in cols] for i in rows])
@@ -215,7 +226,7 @@ class Mat:
             for i in range(r):
                 if not rows[i][c].is_zero():
                     rows[i][c:] = _minus_multiple(rows[i][c:], rows[i][c], rows[r][c:])
-        return Mat(rows), pivots
+        return Mat._of(rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -250,7 +261,7 @@ class Mat:
         for r, pc in enumerate(pivots):
             for k in range(rhs.ncols):
                 sol[pc][k] = R.data[r][nc + k]
-        return Mat(sol)
+        return Mat._of(sol)
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:

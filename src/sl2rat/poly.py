@@ -57,6 +57,8 @@ class Poly:
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
+        if type(c) is int:
+            return _raw((c,), 1) if c else _ZERO
         return Poly((c,))
 
     @staticmethod
@@ -235,12 +237,14 @@ class Poly:
 
     def shifted(self, a: Scalar) -> "Poly":
         """Taylor shift: p(z) -> p(z + a); in place on the integers when a is an integer."""
-        a = _frac(a)
-        if a == 0 or self.is_zero():
+        if not isinstance(a, int):
+            a = _frac(a)
+            if a.denominator == 1:
+                a = a.numerator
+        if a == 0 or not self._ints:
             return self
-        if a.denominator == 1:
+        if isinstance(a, int):
             # z -> z + a is unimodular on Z[z]: the content and the denominator stay
-            a = a.numerator
             c = list(self._ints)
             n = len(c)
             for i in range(n - 1):

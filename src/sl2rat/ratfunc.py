@@ -4,9 +4,27 @@ A RatFunc is a pair (num, den) with den monic and gcd(num, den) = 1, so
 equality is structural equality of canonical forms.  This is the scalar
 field for every matrix and representation in the library.
 
-Normalisation skips the gcd where it is 1 by definition (Knuth, TAOCP
-vol. 2, 4.5.1): construction runs no gcd when the numerator or the
-denominator is a constant, and `+` and `*` of two polynomials (both
+Each result is normalised once, on the smallest operands, by Henrici's
+rules (P. Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1).  Write the
+operands a/b and c/d, both reduced with b and d monic.
+
+- `*`: g1 = gcd(a, d), g2 = gcd(c, b); the product is
+  (a/g1)(c/g2) / ((b/g2)(d/g1)).  A prime of a/g1 divides neither b
+  (a/b is reduced) nor d/g1 (it was taken out), and likewise for c/g2, so
+  the fraction is reduced; its denominator is a product of monic factors.
+- `+`: g = gcd(b, d).  When g = 1 the sum is (a d + c b) / (b d): a prime
+  of b divides neither d nor a, so it does not divide a d + c b, and the
+  same holds for d.  Otherwise t = a (d/g) + c (b/g), h = gcd(t, g), and
+  the sum is (t/h) / ((b/g)(d/h)): a prime of b/g or d/g does not divide
+  t, for the reason above, so only the primes of g can cancel, and h
+  takes them out.
+- `/`: g1 = gcd(a, c), g2 = gcd(d, b); the quotient is
+  (a/g1)(d/g2) / ((b/g2)(c/g1)), reduced as for `*`, and its denominator
+  is made monic by scaling both sides on the integers.
+
+No gcd runs where it is 1 by definition: construction and the rules above
+skip it when one side is a constant, a zero operand gives the other
+operand (`+`) or zero (`*`, `/`), and `+` and `*` of two polynomials (both
 denominators constant, so both 1, being monic) return the sum or product
 over 1, which is already canonical.
 """
@@ -17,7 +35,7 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import ZeroDenominator
 from .factor import factor_poly
-from .poly import Poly, format_poly, poly_gcd
+from .poly import Poly, _make, format_poly, poly_gcd
 
 Scalar = Union[int, Fraction]
 
@@ -48,12 +66,7 @@ class RatFunc:
             g = poly_gcd(np, dp)
             if g.degree > 0:
                 np, dp = np // g, dp // g
-        c = dp.lead
-        if c != 1:
-            inv = 1 / c
-            np = np * inv
-            dp = dp * inv
-        self.num, self.den = np, dp
+        self.num, self.den = _monic_den(np, dp)
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -66,11 +79,11 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc._raw(Poly.zero(), Poly.one())
+        return _ZERO
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc._raw(Poly.one(), Poly.one())
+        return _ONE
 
     @staticmethod
     def variable() -> "RatFunc":
@@ -119,9 +132,26 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_constant() and other.den.is_constant():
-            return RatFunc._raw(self.num + other.num, Poly.one())
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_constant() and d.is_constant():
+            return RatFunc._raw(a + c, Poly.one())
+        if a.is_zero() or c.is_zero():
+            return other if a.is_zero() else self
+        if b.is_constant():
+            return RatFunc._raw(a * d + c, d)
+        if d.is_constant():
+            return RatFunc._raw(a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.degree == 0:
+            return RatFunc._raw(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        t = a * d + c * b
+        if t.is_zero():
+            return _ZERO
+        h = poly_gcd(t, g)
+        if h.degree > 0:
+            t, g = t // h, g // h
+        return RatFunc._raw(t, b * d * g)
 
     __radd__ = __add__
 
@@ -144,9 +174,14 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.is_constant() and other.den.is_constant():
-            return RatFunc._raw(self.num * other.num, Poly.one())
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_constant() and d.is_constant():
+            return RatFunc._raw(a * c, Poly.one())
+        if a.is_zero() or c.is_zero():
+            return _ZERO
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return RatFunc._raw(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -156,7 +191,13 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDenominator("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return _ZERO
+        a, c = _cancel(a, c)
+        d, b = _cancel(d, b)
+        num, den = _monic_den(a * d, b * c)
+        return RatFunc._raw(num, den)
 
     def __rtruediv__(self, other) -> "RatFunc":
         other = _coerce(other)
@@ -189,6 +230,28 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({format_ratfunc(self)!r})"
+
+
+_ZERO = RatFunc._raw(Poly.zero(), Poly.one())
+_ONE = RatFunc._raw(Poly.one(), Poly.one())
+
+
+def _cancel(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
+    """p and q divided by their gcd; no gcd when one is a constant, no division when it is 1."""
+    if p.is_constant() or q.is_constant():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.degree > 0:
+        return p // g, q // g
+    return p, q
+
+
+def _monic_den(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """num and den divided by den's leading coefficient, scaled on the integers."""
+    lead = den._ints[-1]
+    if lead == den._denom:
+        return num, den
+    return _make([v * den._denom for v in num._ints], num._denom * lead), den.monic()
 
 
 def _coerce(x) -> Optional[RatFunc]:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .errors import (
+    LevelMismatch,
     LevelOutsideBaseField,
     NonConstantMinpoly,
     NotARepresentation,
@@ -373,6 +374,8 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
     for i in range(1, comp.exponent + 1):
         Np = Np * N
         ker = Np.kernel()
+        if not ker:  # only the first kernel can be empty; the later ones contain it
+            raise LevelMismatch(f"{mu} is not an eigenvalue of the component's Casimir matrix")
         # extend the nested basis with kernel vectors that add rank
         cols = _independent_columns(cols + ker)
         basis = Mat.from_columns(cols)

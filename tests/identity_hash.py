@@ -11,6 +11,12 @@ own, hashes the tensor product with the next module, the internal Hom from
 it and the dual of 120 corpus modules of dims 1-4:
 
     PYTHONPATH=<checkout>/src python3 tests/identity_hash.py monoidal
+
+The `field` part, also named on its own, hashes `+`, `-`, `*`, `/` and `**`
+of 2,000 seeded pairs of rational functions built from shared shifted
+factors (z + k)^j and quadratics, so that the reduced forms cancel:
+
+    PYTHONPATH=<checkout>/src python3 tests/identity_hash.py field
 """
 import hashlib
 import random
@@ -132,6 +138,29 @@ def monoidal():
         emit("dual", serialize_rep(dual(a)))
 
 
+def field(rng):
+    factors = [Poly((k, 1)) for k in range(-3, 4)] + [Poly((1, 1, 1)), Poly((-2, 0, 3)), Poly((3, -1, 2))]
+
+    def side():
+        p = Poly.constant(rng.choice([1, -1, 2, Fraction(-3, 2), Fraction(5, 7), 6]))
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(factors).shifted(rng.randint(-2, 2)) ** rng.randint(1, 2)
+        return p
+
+    def operand():
+        num = side() * rand_poly(rng, 1) if rng.random() < 0.3 else side()
+        return RatFunc(num, side())
+
+    for _ in range(2000):
+        f, g = operand(), operand()
+        if rng.random() < 0.2:
+            g = g - f
+        emit("field", f"{f + g}|{f - g}|{f * g}|{g * f}")
+        emit("div", str(f / g) if not g.is_zero() else "zero divisor")
+        n = rng.choice([-2, -1, 2, 3])
+        emit("pow", str(f ** n) if n > 0 or not f.is_zero() else "zero base")
+
+
 def main():
     parts = sys.argv[1:] or ["matrices", "polys", "modules"]
     if "matrices" in parts:
@@ -142,6 +171,8 @@ def main():
         modules()
     if "monoidal" in parts:
         monoidal()
+    if "field" in parts:
+        field(random.Random(902))
     print(sorted(COUNTS.items()), file=sys.stderr)
     print(H.hexdigest())
 

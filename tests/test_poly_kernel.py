@@ -163,12 +163,38 @@ def _general(num: Poly, den: Poly) -> RatFunc:
     return RatFunc(num * Poly([1, 1]), den * Poly([1, 1]))
 
 
+# shifted linear factors (z + k) and irreducible quadratics, two of them non-monic
+FACTORS = [Poly([k, 1]) for k in range(-3, 4)] + [Poly([1, 1, 1]), Poly([-2, 0, 3]), Poly([3, -1, 2])]
+
+
+def reduced(r: RatFunc) -> RatFunc:
+    """Both sides canonical, the denominator monic and coprime to the numerator."""
+    canonical(r.num)
+    canonical(r.den)
+    assert r.den.lead == 1
+    assert poly_gcd(r.num, r.den) == Poly.one()
+    return r
+
+
 def test_ratfunc_fast_paths_equal_the_general_form():
     rng = random.Random(4511)
 
     def operand():
         num, den = Poly(random_coeffs(rng)), Poly(random_coeffs(rng))
         return RatFunc(num) if den.is_zero() or rng.random() < 0.6 else RatFunc(num, den)
+
+    def factored():
+        """A non-unit constant times a product of shared factors (z + k)^j and quadratics."""
+        p = Poly([Fraction(rng.choice([-6, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))])
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(FACTORS) ** rng.randint(1, 2)
+        return p
+
+    def shared_operand():
+        if rng.random() < 0.15:
+            return operand()
+        num = factored() * Poly(random_coeffs(rng) or [1]) if rng.random() < 0.3 else factored()
+        return RatFunc(num, factored())
 
     for _ in range(1500):
         f, g = operand(), operand()
@@ -186,6 +212,37 @@ def test_ratfunc_fast_paths_equal_the_general_form():
             got, want = RatFunc(num, den), _general(num, den)
             assert (got.num, got.den) == (want.num, want.den)
             assert got.den.lead == 1
+
+    # operands sharing factors reach the sum's branches after gcd(b, d) != 1:
+    # a zero sum, and a sum whose numerator shares a factor with gcd(b, d)
+    branches = {"zero sum": 0, "h != 1": 0}
+    for _ in range(1500):
+        f, g = shared_operand(), shared_operand()
+        if rng.random() < 0.25:
+            g = g - f  # f + g cancels f's denominator
+        cases = [
+            (f + g, _general(f.num * g.den + g.num * f.den, f.den * g.den)),
+            (f - g, _general(f.num * g.den - g.num * f.den, f.den * g.den)),
+            (f * g, _general(f.num * g.num, f.den * g.den)),
+            (f + (-f), _general(Poly.zero(), f.den * f.den)),
+        ]
+        if not g.is_zero():
+            cases.append((f / g, _general(f.num * g.den, f.den * g.num)))
+        if not f.is_zero():
+            cases.append((f * f.inverse(), _general(f.den * f.num, f.num * f.den)))
+        for got, want in cases:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert hash(got) == hash(want)
+            reduced(got)
+        for u, v in ((f, g), (f, -f)):
+            g_bd = poly_gcd(u.den, v.den)
+            if g_bd.degree > 0:
+                t = u.num * (v.den // g_bd) + v.num * (u.den // g_bd)
+                if t.is_zero():
+                    branches["zero sum"] += 1
+                elif poly_gcd(t, g_bd).degree > 0:
+                    branches["h != 1"] += 1
+    assert all(branches.values()), branches
 
 
 # -- ring axioms ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from sl2rat.errors import ParseError, ZeroDenominator
 from sl2rat.parser import parse_poly, parse_ratfunc
-from sl2rat.poly import Poly
+from sl2rat.poly import Poly, poly_gcd
 from sl2rat.ratfunc import (
     RatFunc,
     format_ratfunc,
@@ -41,6 +41,42 @@ def test_field_ops():
     assert (f / f) == RatFunc.one()
     assert f ** -1 == g
     assert f ** 0 == RatFunc.one()
+
+
+def test_field_axioms_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+    # shared shifted linear factors and quadratics make the reduced forms cancel
+    factor = st.sampled_from([Poly([k, 1]) for k in range(-3, 4)] + [Poly([1, 1, 1]), Poly([-2, 0, 3])])
+
+    def product(parts):
+        coeffs, factors = parts
+        p = Poly(coeffs)
+        for q in factors:
+            p = p * q
+        return p
+
+    side = st.tuples(st.lists(coeff, min_size=1, max_size=3), st.lists(factor, max_size=3)).map(product)
+    ratfunc = st.tuples(side, side.filter(lambda p: not p.is_zero())).map(lambda nd: RatFunc(*nd))
+
+    def reduced(r):
+        assert r.den.lead == 1 and poly_gcd(r.num, r.den) == Poly.one()
+        return r
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(ratfunc, ratfunc, ratfunc, st.integers(-4, 4))
+    def axioms(f, g, h, k):
+        assert reduced(f + g) == g + f and reduced(f * g) == g * f
+        assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
+        assert reduced(f * (g + h)) == f * g + f * h
+        assert reduced(f - f).is_zero()
+        if not f.is_zero():
+            assert reduced(f * f.inverse()) == RatFunc.one() == f / f
+            assert reduced(g / f) * f == g
+        assert reduced((f * g).shifted(k)) == f.shifted(k) * g.shifted(k)
+
+    axioms()
 
 
 def test_shift():

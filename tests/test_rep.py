@@ -12,6 +12,7 @@ from helpers import (
     random_rank1_extension,
 )
 from sl2rat.errors import (
+    LevelMismatch,
     LevelOutsideBaseField,
     NotARepresentation,
     NotCasimir,
@@ -381,3 +382,13 @@ def test_filtration_of_inconsistent_exponent_one_component_raises():
     comp = LevelComponent(Fraction(0), 1, Mat.identity(2), t1_extension())
     with pytest.raises(ArithmeticError, match="filtration must exhaust the component"):
         canonical_filtration(comp)
+
+
+def test_filtration_of_a_component_at_another_level_raises_level_mismatch():
+    # C = 0 * Id on rank1(0, z) and C is nilpotent on t1_extension(), so
+    # ker(C - 5) = 0 and no filtration step exists
+    for exponent in (1, 2):
+        for rep in (rank1(0, Z), t1_extension()):
+            comp = LevelComponent(Fraction(5), exponent, Mat.identity(rep.dim), rep)
+            with pytest.raises(LevelMismatch):
+                canonical_filtration(comp)
