@@ -57,8 +57,8 @@ class Poly:
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
-        if type(c) is int:
-            return _raw((c,), 1) if c else _ZERO
+        if type(c) is int or type(c) is Fraction:
+            return _raw((c.numerator,), c.denominator) if c else _ZERO
         return Poly((c,))
 
     @staticmethod
@@ -166,6 +166,10 @@ class Poly:
         a, b = self._ints, other._ints
         if not a or not b:
             return _ZERO
+        if b == (1,) and other._denom == 1:
+            return self
+        if a == (1,) and self._denom == 1:
+            return other
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -195,6 +199,8 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if other == self:
+            return _ONE, _ZERO
         b = other._ints
         nb, lb = len(b) - 1, b[-1]
         dq = len(self._ints) - 1 - nb

@@ -112,6 +112,8 @@ def test_differential_against_fraction_reference():
         same(p - q, [x - y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
         same(-p, [-x for x in a])
         same(p * q, ref_mul(a, b))
+        same(p * Poly.one(), a)
+        same(Poly([1]) * q, b)
         same(p.derivative(), [i * c for i, c in enumerate(a)][1:])
         if b:
             quo, rem = divmod(p, q)
@@ -119,6 +121,9 @@ def test_differential_against_fraction_reference():
             same(quo, rq)
             same(rem, rr)
             same(q.monic(), ref_monic(b))
+            quo, rem = divmod(q, Poly(b))
+            same(quo, [1])
+            same(rem, [])
         same(poly_gcd(p, q), ref_gcd(a, b))
         same(poly_gcd(p * q, q), ref_gcd(ref_mul(a, b), b))
         for s in SHIFTS:
