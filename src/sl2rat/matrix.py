@@ -50,7 +50,7 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         if n < 1:
-            return Mat([])
+            return Mat([])  # raises the shape error of an empty matrix
         one, zero = RatFunc.one(), RatFunc.zero()
         return Mat._of([one if i == j else zero for j in range(n)] for i in range(n))
 

@@ -135,8 +135,10 @@ class RatFunc:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b.is_constant() and d.is_constant():
             return RatFunc._raw(a + c, Poly.one())
-        if a.is_zero() or c.is_zero():
-            return other if a.is_zero() else self
+        if a.is_zero():
+            return other
+        if c.is_zero():
+            return self
         if b.is_constant():
             return RatFunc._raw(a * d + c, d)
         if d.is_constant():
