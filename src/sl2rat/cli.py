@@ -70,6 +70,8 @@ def _load_doc(args) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("input JSON nests too deeply") from None
 
 
 def _need(doc: Dict, key: str):

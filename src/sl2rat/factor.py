@@ -3,7 +3,8 @@
 Pipeline: Yun squarefree decomposition, then Zassenhaus on each squarefree
 part (factor mod a good odd prime with distinct-degree / Cantor-Zassenhaus
 splitting, quadratic multifactor Hensel lifting up to a Mignotte-style
-bound, subset recombination with exact integer trial division).  One set
+bound, subset recombination with exact trial division over Z, which runs
+through `poly._int_pdivmod` like every other integer division).  One set
 of dense (Z/m)[x] helpers serves both the factoring mod p (m = p) and the
 Hensel lifting mod p^k: division needs only that the divisor's lead is a
 unit mod m.  Everything is deterministic: primes are probed in increasing
@@ -16,9 +17,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .poly import Poly, poly_gcd, _int_primitive, _to_int_primitive
+from .poly import Poly, poly_gcd, _int_pdivmod, _int_primitive, _raw, _to_int_primitive
 
 IntPoly = Tuple[int, ...]
 
@@ -263,24 +264,6 @@ def _symmetric(a: Sequence[int], m: int) -> List[int]:
     return [c - m if c > half else c for c in a]
 
 
-def _int_exact_quo(f: IntPoly, g: IntPoly) -> Optional[IntPoly]:
-    """The quotient f / g when g divides f in Z[x], else None (f nonzero)."""
-    rem = list(f)
-    dg, lg = len(g) - 1, g[-1]
-    quo = [0] * (len(rem) - dg)
-    for k in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[k + dg], lg)
-        if r:
-            return None
-        quo[k] = c
-        if c:
-            for i, gc in enumerate(g):
-                rem[k + i] -= c * gc
-    if any(rem):
-        return None
-    return tuple(quo)
-
-
 def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
     """Irreducible factors (primitive, positive lead) of a primitive squarefree int poly."""
     n = len(f) - 1
@@ -324,8 +307,8 @@ def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
                 cand = _int_primitive(_symmetric(g, m))
                 if not cand:
                     continue
-                quo = _int_exact_quo(fcur, cand)
-                if quo is not None:
+                quo, rem, scale = _int_pdivmod(fcur, cand)
+                if scale == 1 and not rem:  # cand divides fcur in Z[x]
                     result.append(cand)
                     fcur = quo
                     lc_cur = fcur[-1]
@@ -376,7 +359,7 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
     out: List[Tuple[Poly, int]] = []
     for part, mult in squarefree_decomposition(p):
         for fac in _factor_squarefree_int(_to_int_primitive(part)):
-            out.append((Poly(fac).monic(), mult))
+            out.append((_raw(fac, 1).monic(), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return lead, out
 

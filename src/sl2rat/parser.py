@@ -16,6 +16,9 @@ from .ratfunc import RatFunc
 
 _OPS = set("+-*/^()")
 
+MAX_NESTING = 100
+"""Most open parentheses and unary minus signs around any subexpression."""
+
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
@@ -49,6 +52,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -57,6 +61,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, tok) -> None:
+        """Consume an opening token, one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+        self.advance()
 
     def expect(self, kind: str):
         tok = self.peek()
@@ -88,10 +99,13 @@ class _Parser:
         return value
 
     def unary(self) -> RatFunc:
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.unary()
-        return self.power()
+        tok = self.peek()
+        if tok[0] != "-":
+            return self.power()
+        self.nest(tok)
+        value = -self.unary()
+        self.depth -= 1
+        return value
 
     def power(self) -> RatFunc:
         base = self.atom()
@@ -113,9 +127,10 @@ class _Parser:
             self.advance()
             return RatFunc.variable()
         if tok[0] == "(":
-            self.advance()
+            self.nest(tok)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
 
@@ -123,8 +138,9 @@ class _Parser:
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an expression into canonical form.
 
-    Raises ParseError with the offending position, or ZeroDenominator when
-    a division by the zero polynomial occurs.
+    Raises ParseError with the offending position (also at the token that
+    nests deeper than MAX_NESTING), or ZeroDenominator when a division by
+    the zero polynomial occurs.
     """
     return _Parser(text).parse()
 

@@ -5,11 +5,13 @@ integer numerators in ascending order with no trailing zero, over one
 positive common denominator that shares no prime with all of them
 (`gcd(denom, *ints) == 1`; the zero polynomial is `((), 1)`).  That pair is
 canonical, so equality and hashing compare integers and never build a
-`Fraction`.  `+`, `*`, `divmod` (pseudo-division by the integer lead),
-integer Taylor shifts, `monic`, `derivative` and `poly_gcd` work on the
-integers alone; `.coeffs`, the ascending tuple of `Fraction` coefficients,
-is built on first use and cached.  All arithmetic is exact; nothing here
-ever rounds.
+`Fraction`.  `+`, `*`, `divmod`, Taylor shifts, `monic`, `derivative` and
+`poly_gcd` work on the integers alone.  One integer pseudo-division,
+`_int_pdivmod`, serves `divmod`, the primitive PRS of `poly_gcd` and the
+trial division of `factor`; a shift by a fraction s/q runs as an integer
+shift by s between two scalings by powers of q.  `.coeffs`, the ascending
+tuple of `Fraction` coefficients, is built on first use and cached.  All
+arithmetic is exact; nothing here ever rounds.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ class Poly:
 
     @staticmethod
     def variable() -> "Poly":
-        return Poly((0, 1))
+        return _Z
 
     @staticmethod
     def monomial(c: Scalar, k: int) -> "Poly":
@@ -192,8 +194,6 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> Tuple["Poly", "Poly"]:
-        # pseudo-division by the integer lead b[-1], scaling only the steps
-        # that do not divide exactly: scale * A = Q * B + R over Z
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -201,28 +201,7 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if other == self:
             return _ONE, _ZERO
-        b = other._ints
-        nb, lb = len(b) - 1, b[-1]
-        dq = len(self._ints) - 1 - nb
-        if dq < 0:
-            return _ZERO, self
-        rem = list(self._ints)
-        quo = [0] * (dq + 1)
-        scale = 1
-        for k in range(dq, -1, -1):
-            c = rem.pop()
-            if not c:
-                continue
-            q, r = divmod(c, lb)
-            if r:
-                s = abs(lb) // math.gcd(c, lb)
-                rem = [v * s for v in rem]
-                quo = [v * s for v in quo]
-                scale *= s
-                q = c * s // lb
-            quo[k] = q
-            for i in range(nb):
-                rem[k + i] -= q * b[i]
+        quo, rem, scale = _int_pdivmod(self._ints, other._ints)
         denom = scale * self._denom
         return _make([v * other._denom for v in quo], denom), _make(rem, denom)
 
@@ -242,26 +221,25 @@ class Poly:
         return acc / self._denom
 
     def shifted(self, a: Scalar) -> "Poly":
-        """Taylor shift: p(z) -> p(z + a); in place on the integers when a is an integer."""
+        """Taylor shift p(z) -> p(z + a), on the integers."""
+        q = 1
         if not isinstance(a, int):
             a = _frac(a)
-            if a.denominator == 1:
-                a = a.numerator
+            a, q = a.numerator, a.denominator
         if a == 0 or not self._ints:
             return self
-        if isinstance(a, int):
+        c = list(self._ints)
+        n = len(c) - 1
+        if q != 1:
+            # q^n p(w/q) has the numerators c_k q^(n-k); shift w by a, then w = qz
+            c = [v * q ** (n - k) for k, v in enumerate(c)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
+        if q == 1:
             # z -> z + a is unimodular on Z[z]: the content and the denominator stay
-            c = list(self._ints)
-            n = len(c)
-            for i in range(n - 1):
-                for j in range(n - 2, i - 1, -1):
-                    c[j] += a * c[j + 1]
             return _raw(tuple(c), self._denom)
-        acc = Poly.zero()
-        za = Poly((a, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * za + Poly.constant(c)
-        return acc
+        return _make([v * q ** k for k, v in enumerate(c)], self._denom * q ** n)
 
     def derivative(self) -> "Poly":
         return _make([i * c for i, c in enumerate(self._ints)][1:], self._denom)
@@ -314,6 +292,7 @@ def _make(ints: List[int], denom: int) -> Poly:
 
 _ZERO = _raw((), 1)
 _ONE = _raw((1,), 1)
+_Z = _raw((0, 1), 1)
 
 
 def _coerce(x) -> Optional[Poly]:
@@ -342,24 +321,35 @@ def _to_int_primitive(p: Poly) -> Tuple[int, ...]:
     return _int_primitive(p._ints)
 
 
-def _int_prem(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """Pseudo-remainder of integer polynomials (dense ascending lists)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        da = len(a) - 1
-        if da < db:
-            break
-        la = a[-1]
-        shift = da - db
-        a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
+def _int_pdivmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """Pseudo-division over Z (Knuth, TAOCP vol. 2, 4.6.1): scale * a = quo * b + rem.
+
+    Only the steps whose quotient coefficient is not an integer scale, by the
+    least factor that makes it one, so `scale == 1 and not rem` says that b
+    divides a in Z[x].  rem is trimmed and of lower degree than b (b nonzero).
+    """
+    nb, lb = len(b) - 1, b[-1]
+    dq = len(a) - 1 - nb
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    scale = 1
+    for k in range(dq, -1, -1):
+        c = rem.pop()
+        if not c:
+            continue
+        q, r = divmod(c, lb)
+        if r:
+            s = abs(lb) // math.gcd(c, lb)
+            rem = [v * s for v in rem]
+            quo = [v * s for v in quo]
+            scale *= s
+            q = c * s // lb
+        quo[k] = q
+        for i in range(nb):
+            rem[k + i] -= q * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem, scale
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -378,8 +368,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_primitive(_int_prem(a, b))
-        a, b = b, r
+        a, b = b, _int_primitive(_int_pdivmod(a, b)[1])
     return _raw(a, 1).monic()
 
 

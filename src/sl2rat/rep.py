@@ -102,11 +102,13 @@ class Filtration:
 # -- construction and validation --------------------------------------------
 
 
+_TWO_Z = RatFunc(Poly((0, 2)))
+_ZZ = RatFunc(Poly((0, -1, 1)))  # z(z - 1)
+
+
 def commutation_residual(A: Mat, B: Mat) -> Mat:
     """A(z) B(z-1) - B(z) A(z+1) + 2z Id; zero exactly on representations."""
-    n = A.nrows
-    two_z = Mat.diag([RatFunc(Poly((0, 2)))] * n)
-    return A * B.shifted(-1) - B * A.shifted(1) + two_z
+    return A * B.shifted(-1) - B * A.shifted(1) + Mat.diag([_TWO_Z] * A.nrows)
 
 
 def validate(rep: RationalRep) -> RationalRep:
@@ -133,8 +135,7 @@ def make_rep(A: Mat, B: Mat) -> RationalRep:
 
 def casimir_matrix(rep: RationalRep) -> Mat:
     """C(z) = z(z-1) Id - A(z) B(z-1); commutes with both operators."""
-    zz = RatFunc(Poly((0, -1, 1)))
-    return Mat.diag([zz] * rep.dim) - rep.A * rep.B.shifted(-1)
+    return Mat.diag([_ZZ] * rep.dim) - rep.A * rep.B.shifted(-1)
 
 
 def _constant_entry(f: RatFunc) -> Optional[Fraction]:

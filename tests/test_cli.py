@@ -138,3 +138,9 @@ def test_rationalize_checks_the_declared_dim():
     proc = run_cli(["rationalize"], stdin_text=json.dumps({"dim": 3, "L1": [["z^2 + z"]], "Lm1": [["1"]]}))
     assert proc.returncode == 1 and proc.stderr == ""
     assert proc.stdout == '{"error":{"message":"declared dim disagrees with the matrices","type":"InputError"}}\n'
+
+
+def test_deeply_nested_json_is_an_input_error():
+    proc = run_cli(["validate"], stdin_text="[" * 100000 + "]" * 100000)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from sl2rat.poly import Poly, poly_gcd
+from sl2rat.poly import Poly, _int_pdivmod, poly_gcd
 from sl2rat.ratfunc import RatFunc
 
-SHIFTS = [0, 1, -1, 3, -3, Fraction(1, 2)]
+SHIFTS = [0, 1, -1, 3, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
 
 
 # -- the reference: dense ascending Fraction lists -----------------------------
@@ -25,6 +25,10 @@ def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def ref_add(a, b):
+    return _trim(x + y for x, y in zip(list(a) + [0] * len(b), list(b) + [0] * len(a)))
 
 
 def ref_mul(a, b):
@@ -104,12 +108,13 @@ def random_coeffs(rng: random.Random):
 
 def test_differential_against_fraction_reference():
     rng = random.Random(20261018)
+    trial = {True: 0, False: 0}  # outcomes of the Z[x] trial division
     for _ in range(5000):
         a, b = random_coeffs(rng), random_coeffs(rng)
         p, q = canonical(Poly(a)), canonical(Poly(b))
         assert list(p.coeffs) == a
-        same(p + q, [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
-        same(p - q, [x - y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
+        same(p + q, ref_add(a, b))
+        same(p - q, ref_add(a, [-y for y in b]))
         same(-p, [-x for x in a])
         same(p * q, ref_mul(a, b))
         same(p * Poly.one(), a)
@@ -124,12 +129,25 @@ def test_differential_against_fraction_reference():
             quo, rem = divmod(q, Poly(b))
             same(quo, [1])
             same(rem, [])
+            # the integer kernel on the numerators; p*q by q (integer product) always divides
+            x, y = p._ints, q._ints
+            for num in (x, ref_mul(x, y)):
+                num = [int(c) for c in num]
+                quo, rem, scale = _int_pdivmod(num, y)
+                assert all(type(c) is int for c in quo + rem) and scale >= 1
+                assert [scale * c for c in num] == ref_add(ref_mul(quo, y), rem)
+                assert len(rem) < len(y) and rem == _trim(rem)
+                rq, rr = ref_divmod([Fraction(c) for c in num], y)
+                divides = not rr and all(c.denominator == 1 for c in rq)
+                assert (scale == 1 and not rem) == divides
+                trial[divides] += 1
         same(poly_gcd(p, q), ref_gcd(a, b))
         same(poly_gcd(p * q, q), ref_gcd(ref_mul(a, b), b))
         for s in SHIFTS:
             same(p.shifted(s), ref_shift(a, s))
         x = Fraction(rng.randint(-5, 5), rng.choice([1, 3]))
         assert p.eval(x) == sum(c * x ** i for i, c in enumerate(a))
+    assert all(trial.values()), trial
 
 
 def test_negative_non_unit_divisor_lead_keeps_a_positive_denominator():

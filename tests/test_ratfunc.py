@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sl2rat.errors import ParseError, ZeroDenominator
-from sl2rat.parser import parse_poly, parse_ratfunc
+from sl2rat.parser import MAX_NESTING, parse_poly, parse_ratfunc
 from sl2rat.poly import Poly, poly_gcd
 from sl2rat.ratfunc import (
     RatFunc,
@@ -138,6 +138,13 @@ def test_parse_errors_have_positions():
         parse_ratfunc("z^-1")
     with pytest.raises(ParseError):
         parse_ratfunc("(z + 1")
+    # nesting past MAX_NESTING is a ParseError at the first token too deep, not a RecursionError
+    n = MAX_NESTING
+    assert parse_ratfunc("(" * n + "z" + ")" * n) == parse_ratfunc("-" * n + "z") == RatFunc.variable()
+    for text in ("(" * 200 + "z" + ")" * 200, "-" * 1000 + "z", "-(" * 51 + "z" + ")" * 51, "(" * 3000 + "z" + ")" * 3000):
+        with pytest.raises(ParseError) as exc:
+            parse_ratfunc(text)
+        assert exc.value.position == n  # the (n + 1)-th opening character
 
 
 def test_parse_format_round_trip():
