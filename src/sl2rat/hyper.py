@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .factor import factor_poly, monic_divisors, rational_roots
 from .matrix import Mat
-from .poly import Poly
+from .poly import Poly, _raw
 from .ratfunc import RatFunc
 
 
@@ -31,7 +31,7 @@ def _binom_poly(s: int) -> Poly:
     """binom(d, s) as a polynomial in d: d(d-1)...(d-s+1)/s!."""
     out = Poly.one()
     for i in range(s):
-        out = out * Poly((Fraction(-i), 1))
+        out = out * _raw((-i, 1), 1)
     denom = 1
     for i in range(1, s + 1):
         denom *= i

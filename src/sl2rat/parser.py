@@ -19,6 +19,9 @@ _OPS = set("+-*/^()")
 MAX_NESTING = 100
 """Most open parentheses and unary minus signs around any subexpression."""
 
+MAX_DEGREE = 1000
+"""Largest degree of numerator or denominator that a power may produce."""
+
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
@@ -114,8 +117,11 @@ class _Parser:
             tok = self.peek()
             if tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
+            e = int(tok[1])
+            if e * max(base.num.degree, base.den.degree) > MAX_DEGREE:
+                raise ParseError(f"power of degree above {MAX_DEGREE}", tok[2])
             self.advance()
-            return base ** int(tok[1])
+            return base ** e
         return base
 
     def atom(self) -> RatFunc:
@@ -139,8 +145,9 @@ def parse_ratfunc(text: str) -> RatFunc:
     """Parse an expression into canonical form.
 
     Raises ParseError with the offending position (also at the token that
-    nests deeper than MAX_NESTING), or ZeroDenominator when a division by
-    the zero polynomial occurs.
+    nests deeper than MAX_NESTING, and at the exponent of a power whose
+    numerator or denominator would pass MAX_DEGREE), or ZeroDenominator
+    when a division by the zero polynomial occurs.
     """
     return _Parser(text).parse()
 

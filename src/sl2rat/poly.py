@@ -69,6 +69,8 @@ class Poly:
 
     @staticmethod
     def monomial(c: Scalar, k: int) -> "Poly":
+        if type(c) is int or type(c) is Fraction:
+            return _raw((0,) * k + (c.numerator,), c.denominator) if c else _ZERO
         return Poly((0,) * k + (c,))
 
     # -- basic structure ----------------------------------------------

@@ -22,6 +22,11 @@ is one step whose quotient is the module itself.  When the minimal
 polynomial is a single (t - mu)^e, (C - mu)^e = 0, so the generalized
 eigenspace is the whole module.  In both cases the kernel and restriction
 of the general path would return the unit basis and the same matrices.
+
+C is computed once per level split: `_level_decompose` hands each component
+its Casimir matrix (the split's own C on the shortcuts, the restriction's on
+the general path), and `_canonical_filtration` takes it from there.  The
+public `level_decompose` and `canonical_filtration` compute it themselves.
 """
 from __future__ import annotations
 
@@ -180,8 +185,12 @@ def casimir_minpoly(rep: RationalRep) -> Poly:
     Computed as the lcm of Krylov local minimal polynomials; a non-constant
     coefficient raises NonConstantMinpoly (impossible for valid reps).
     """
-    C = casimir_matrix(rep)
-    n = rep.dim
+    return _minpoly(casimir_matrix(rep))
+
+
+def _minpoly(C: Mat) -> Poly:
+    """`casimir_minpoly` of the module whose Casimir matrix is C."""
+    n = C.nrows
     mp = Poly.one()
     for start in range(n):
         if mp.degree == n:
@@ -325,11 +334,16 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
 
     A single level is the whole module on the unit basis (module docstring).
     """
+    return [comp for comp, _ in _level_decompose(rep)]
+
+
+def _level_decompose(rep: RationalRep) -> List[Tuple[LevelComponent, Mat]]:
+    """`level_decompose`, each component paired with its Casimir matrix."""
     C = casimir_matrix(rep)
     mu = _scalar_level(C)
     if mu is not None:
-        return [LevelComponent(mu, 1, Mat.identity(rep.dim), rep)]
-    mp = casimir_minpoly(rep)
+        return [(LevelComponent(mu, 1, Mat.identity(rep.dim), rep), C)]
+    mp = _minpoly(C)
     _, facs = factor_poly(mp)
     for fac, _ in facs:
         if fac.degree > 1:
@@ -337,7 +351,7 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
     levels = sorted((-fac.coefficient(0), mult) for fac, mult in facs)
     if len(levels) == 1:
         mu, mult = levels[0]
-        return [LevelComponent(mu, mult, Mat.identity(rep.dim), rep)]
+        return [(LevelComponent(mu, mult, Mat.identity(rep.dim), rep), C)]
     out = []
     total = 0
     for mu, mult in levels:
@@ -348,7 +362,7 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
         basis_vectors = Mp.kernel()
         basis = Mat.from_columns(basis_vectors)
         sub = restrict_to_invariant_subspace(rep, basis)
-        out.append(LevelComponent(mu, mult, basis, sub))
+        out.append((LevelComponent(mu, mult, basis, sub), casimir_matrix(sub)))
         total += basis.ncols
     if total != rep.dim:
         raise ArithmeticError("component dimensions must sum to the total")
@@ -361,9 +375,13 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
     An exponent-1 component with C = mu Id is its own single quotient; any
     other component, consistent or not, takes the general loop.
     """
+    return _canonical_filtration(comp, casimir_matrix(comp.rep))
+
+
+def _canonical_filtration(comp: LevelComponent, C: Mat) -> Filtration:
+    """`canonical_filtration` of a component whose Casimir matrix is C."""
     rep = comp.rep
     mu = comp.level
-    C = casimir_matrix(rep)
     if comp.exponent == 1 and _scalar_level(C) == mu:
         return Filtration(mu, (FiltrationStep(Mat.identity(rep.dim), rep),))
     N = C - Mat.diag([RatFunc.constant(mu)] * rep.dim)

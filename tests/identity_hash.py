@@ -7,9 +7,10 @@ rref, kernel, det, inverse and solve of 400 seeded matrices; factor_poly,
 poly_gcd, divmod (of p by q and of p*q by q), partial_fractions and shifted
 (by integers and by 1/2, -2/3 and 5/4) on 2,000 seeded polynomials and
 rational functions; the devissage class and tree, the level components and
-the filtration steps of 500 modules.  The `monoidal` part, named on its
-own, hashes the tensor product with the next module, the internal Hom from
-it and the dual of 120 corpus modules of dims 1-4:
+the filtration steps of 500 modules; `ext_build` of 100 seeded data with T
+raised by 1 (the error type, or the built module).  The `monoidal` part,
+named on its own, hashes the tensor product with the next module, the
+internal Hom from it and the dual of 120 corpus modules of dims 1-4:
 
     PYTHONPATH=<checkout>/src python3 tests/identity_hash.py monoidal
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from helpers import build_corpus, random_rank1_extension
 from sl2rat.errors import Sl2RatError
-from sl2rat.extension import ext_build
+from sl2rat.extension import ExtDatum, ext_build
 from sl2rat.factor import factor_poly
 from sl2rat.k0 import devissage, serialize_rep
 from sl2rat.matrix import Mat
@@ -120,6 +121,10 @@ def modules():
     for _ in range(100):
         d = random_rank1_extension(rng)
         reps.extend([ext_build(d), d.left, d.right])
+        try:
+            emit("ext_bad", serialize_rep(ext_build(ExtDatum(d.left, d.right, d.B1, d.T + Mat([[1]])))))
+        except Sl2RatError as e:
+            emit("ext_bad", f"error {type(e).__name__} {e}")
     for rep in reps:
         try:
             cls, tree = devissage(rep)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -144,3 +145,13 @@ def test_deeply_nested_json_is_an_input_error():
     proc = run_cli(["validate"], stdin_text="[" * 100000 + "]" * 100000)
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+
+
+def test_power_past_the_degree_bound_is_a_parse_error():
+    doc = json.dumps({"level": "0", "r": "(z+1)^3000/(z-1)^3000"})
+    start = time.perf_counter()
+    proc = run_cli(["pic", "normalize"], stdin_text=doc)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+    assert elapsed < 1.0  # the power is refused before it is computed

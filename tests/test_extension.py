@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_nonzero_ratfunc, random_rank1_extension
-from sl2rat.errors import InvalidExtensionData, LevelMismatch
+from helpers import (
+    LEVELS,
+    random_casimir_from_L1,
+    random_constant_casimir,
+    random_nonzero_ratfunc,
+    random_rank1_extension,
+)
+from sl2rat.errors import InvalidExtensionData, LevelMismatch, NotARepresentation
 from sl2rat.extension import (
     ExtDatum,
     exponent_of,
@@ -20,9 +26,12 @@ from sl2rat.ratfunc import RatFunc
 from sl2rat.rep import (
     casimir_level,
     casimir_matrix,
+    direct_sum,
+    make_rep,
     quotient_by_invariant_subspace,
     rank1,
     restrict_to_invariant_subspace,
+    validate,
 )
 
 Z = RatFunc.variable()
@@ -55,6 +64,79 @@ def test_ext_build_recovers_sub_and_quotient():
         assert quotient_by_invariant_subspace(w, e1) == d.right
 
 
+def _assembled(d):
+    """W of the datum assembled entry by entry and fully validated: the reference for ext_build."""
+    lp, rq = d.left, d.right
+    Bm1 = (d.T - lp.A * d.B1.shifted(-1)) * rq.B.shifted(-1).inverse()
+    zeros = [0] * lp.dim
+    A = Mat([list(lp.A.data[i]) + list(Bm1.data[i]) for i in range(lp.dim)] + [zeros + list(r) for r in rq.A.data])
+    B = Mat([list(lp.B.data[i]) + list(d.B1.data[i]) for i in range(lp.dim)] + [zeros + list(r) for r in rq.B.data])
+    return make_rep(A, B)
+
+
+def _random_matrix(rng, rows, cols):
+    return Mat([[random_nonzero_ratfunc(rng) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)])
+
+
+def _block_datum(rng):
+    """A valid datum whose sides have dim 1 or 2, from one of four families."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_rank1_extension(rng)
+    if kind == 1:  # same-level Casimir sides: any B1 with T = 0
+        mu = rng.choice(LEVELS)
+
+        def side():
+            one = rank1(mu, random_nonzero_ratfunc(rng))
+            return direct_sum(one, rank1(mu, random_nonzero_ratfunc(rng))) if rng.random() < 0.6 else one
+
+        left, right = side(), side()
+        return ExtDatum(left, right, _random_matrix(rng, left.dim, right.dim), Mat([[0] * right.dim] * left.dim))
+    if kind == 2:  # B = Id, constant C0: B1 commuting with C0 and any constant T
+        rep = random_constant_casimir(rng, 2)
+        C0 = casimir_matrix(rep)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        B1 = Mat.identity(2).map(lambda e: e * a) + C0.map(lambda e: e * b)
+        T = Mat([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        return ExtDatum(rep, rep, B1, T)
+    # a dim-2 Casimir module glued to itself: T a multiple of the identity, any B1
+    rep = random_casimir_from_L1(rng, 2)
+    c = rng.choice([0, 1, -2])
+    T = Mat.identity(2).map(lambda e: e * c)
+    return ExtDatum(rep, rep, _random_matrix(rng, 2, 2), T)
+
+
+def test_block_certificate_agrees_with_full_validation():
+    """ext_build checks one residual block; full validation of W must agree on valid and corrupted data."""
+    rng = random.Random(55)
+    shapes, outcomes = set(), {True: 0, False: 0}
+    for _ in range(200):
+        d = _block_datum(rng)
+        shapes.add((d.left.dim, d.right.dim))
+        w = ext_build(d)
+        validate(w)
+        ref = _assembled(d)
+        assert (w.A, w.B) == (ref.A, ref.B)
+        # T plus a nonzero constant in one entry
+        i, j = rng.randrange(d.left.dim), rng.randrange(d.right.dim)
+        bump = Mat([[rng.choice([1, -1, 2]) if (r, c) == (i, j) else 0 for c in range(d.right.dim)] for r in range(d.left.dim)])
+        bad = ExtDatum(d.left, d.right, d.B1, d.T + bump)
+        try:
+            _assembled(bad)
+            reference_accepts = True
+        except NotARepresentation:
+            reference_accepts = False
+        try:
+            validate(ext_build(bad))
+            accepts = True
+        except InvalidExtensionData:
+            accepts = False
+        assert accepts == reference_accepts
+        outcomes[accepts] += 1
+    assert {(1, 1), (2, 1), (1, 2), (2, 2)} <= shapes
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_cross_level_gluing():
     # across levels Ext^1 vanishes: inconsistent data are rejected, and the
     # data that do build (e.g. T a raising intertwiner) give split modules
@@ -63,7 +145,6 @@ def test_cross_level_gluing():
     ext_build(ExtDatum(rank1(0, 1), rank1(1, 1), Mat([[0]]), Mat([[0]])))
     w = ext_build(ExtDatum(rank1(0, 1), rank1(1, 1), Mat([[0]]), Mat([[1]])))
     from sl2rat.k0 import devissage, k0_eq
-    from sl2rat.rep import direct_sum
 
     split, _ = devissage(direct_sum(rank1(0, 1), rank1(1, 1)))
     got, _ = devissage(w)

@@ -176,6 +176,11 @@ def test_scalars_and_constants_keep_the_public_types():
     assert p == p.shifted(0) and p.shifted(2).shifted(-2) == p
     with pytest.raises(TypeError):
         Poly([0.5])
+    for c in (0, 3, Fraction(-2, 3)):
+        for k in (0, 1, 5):
+            m, ref = Poly.monomial(c, k), Poly((0,) * k + (c,))
+            assert (m._ints, m._denom) == (ref._ints, ref._denom)
+            assert canonical(m) == ref
 
 
 # -- RatFunc fast paths ------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sl2rat.errors import ParseError, ZeroDenominator
-from sl2rat.parser import MAX_NESTING, parse_poly, parse_ratfunc
+from sl2rat.parser import MAX_DEGREE, MAX_NESTING, parse_poly, parse_ratfunc
 from sl2rat.poly import Poly, poly_gcd
 from sl2rat.ratfunc import (
     RatFunc,
@@ -145,6 +145,12 @@ def test_parse_errors_have_positions():
         with pytest.raises(ParseError) as exc:
             parse_ratfunc(text)
         assert exc.value.position == n  # the (n + 1)-th opening character
+    # a power whose degree would pass MAX_DEGREE is a ParseError at its exponent, before it is computed
+    assert parse_ratfunc(f"(z+1)^{MAX_DEGREE}").num.degree == MAX_DEGREE
+    for text, position in (("(z+1)^3000/(z-1)^3000", 6), (f"z^{MAX_DEGREE + 1}", 2), ("((z^2+1)^400)^2", 14)):
+        with pytest.raises(ParseError) as exc:
+            parse_ratfunc(text)
+        assert exc.value.position == position
 
 
 def test_parse_format_round_trip():

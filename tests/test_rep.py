@@ -289,8 +289,17 @@ def test_filtration_quotient_dims_two_one():
 
 
 def test_devissage_subquotients_pass_full_validation(monkeypatch):
-    """Subquotients are built from their closure certificate; full validate agrees."""
+    """Subquotients are built from their closure certificate; full validate agrees.
+
+    The level split also hands each component its Casimir matrix, which must
+    be the component's own.
+    """
     built = []
+    components = []
+
+    def level_parts(pairs):
+        components.extend(pairs)
+        return [c.rep for c, _ in pairs]
 
     def recording(fn, parts):
         def wrapper(*args):
@@ -302,8 +311,8 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
 
     # the names k0 binds: level split, filtration, and the rank-1 splits
     parts_of = {
-        "level_decompose": lambda comps: [c.rep for c in comps],
-        "canonical_filtration": lambda filt: [s.quotient for s in filt.steps],
+        "_level_decompose": level_parts,
+        "_canonical_filtration": lambda filt: [s.quotient for s in filt.steps],
         "restrict_to_invariant_subspace": lambda rep: [rep],
         "quotient_by_invariant_subspace": lambda rep: [rep],
     }
@@ -319,6 +328,9 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
     assert len(built) > len(modules)
     for sub in built:
         validate(sub)
+    assert len(components) >= len(modules)
+    for comp, C in components:
+        assert C == casimir_matrix(comp.rep)
 
 
 def _reference_level_decompose(rep):
