@@ -6,9 +6,8 @@ lowering-side block is forced,
 
     Bm1(z) = [T(z) - A'(z) B1(z-1)] B''(z-1)^{-1},
 
-and validity of the datum is certified by the one residual block it does
-not force: the top-right block T - B'(z) Bm1(z+1) - B1(z) A''(z+1) of the
-commutation identity (`ext_build`).  For same-level Casimir data the
+and validity of the datum is certified by validating the assembled module
+(the one check nothing can argue with).  For same-level Casimir data the
 module is again Casimir exactly when T = 0; otherwise the exponent is 2.
 """
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InvalidExtensionData, LevelMismatch
+from .errors import InvalidExtensionData, LevelMismatch, NotARepresentation
 from .matrix import Mat
 from .picard import iso_rank1
 from .poly import Poly
@@ -25,6 +24,7 @@ from .ratfunc import RatFunc, as_ratfunc, partial_fractions
 from .rep import (
     RationalRep,
     casimir_minpoly,
+    make_rep,
     require_casimir,
 )
 
@@ -48,21 +48,15 @@ class ExtDatum:
 
 
 def ext_build(datum: ExtDatum) -> RationalRep:
-    """Assemble the block-triangular module; InvalidExtensionData when it fails.
-
-    `left` and `right` must be modules, as the CLI's `validate` makes them.
-    Certificate: the diagonal blocks of the residual of W are the residuals
-    of `left` and `right`, and the top-right block of A(z) B(z-1) is T by the
-    choice of Bm1, so W is a module exactly when
-    T - B'(z) Bm1(z+1) - B1(z) A''(z+1) = 0; its operators invert, as
-    det A = det A' det A'' and det B = det B' det B''.
-    """
+    """Assemble the block-triangular module; InvalidExtensionData when it fails."""
     lp, rq = datum.left, datum.right
-    B1, T = datum.B1, datum.T
-    Bm1 = (T - lp.A * B1.shifted(-1)) * rq.B.shifted(-1).inverse()
-    if not (T - lp.B * Bm1.shifted(1) - B1 * rq.A.shifted(1)).is_zero():
-        raise InvalidExtensionData("assembled module fails the commutation identity")
-    return RationalRep(lp.dim + rq.dim, _upper(lp.A, Bm1, rq.A), _upper(lp.B, B1, rq.B))
+    Bm1 = (datum.T - lp.A * datum.B1.shifted(-1)) * rq.B.shifted(-1).inverse()
+    try:
+        return make_rep(_upper(lp.A, Bm1, rq.A), _upper(lp.B, datum.B1, rq.B))
+    except NotARepresentation as exc:
+        raise InvalidExtensionData(
+            "assembled module fails the commutation identity"
+        ) from exc
 
 
 def _upper(top_left: Mat, top_right: Mat, bottom_right: Mat) -> Mat:
