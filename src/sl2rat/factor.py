@@ -1,6 +1,12 @@
 """Irreducible factorization of univariate polynomials over the rationals.
 
-Pipeline: Yun squarefree decomposition, then Zassenhaus on each squarefree
+Degree 1 and 2 have a closed form on the primitive integer polynomial
+c + b z + a z^2 (a > 0): a linear polynomial is its own monic factor, and a
+quadratic splits over Q exactly when its discriminant d = b^2 - 4ac is a
+perfect square (`math.isqrt(d)**2 == d`, the exact certificate), into
+z + (b -+ sqrt(d))/2a, which is one double factor when d = 0.
+
+Higher degrees: Yun squarefree decomposition, then Zassenhaus on each squarefree
 part (factor mod a good odd prime with distinct-degree / Cantor-Zassenhaus
 splitting, quadratic multifactor Hensel lifting up to a Mignotte-style
 bound, subset recombination with exact trial division over Z, which runs
@@ -19,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .poly import Poly, poly_gcd, _int_pdivmod, _int_primitive, _raw, _to_int_primitive
+from .poly import Poly, poly_gcd, _int_pdivmod, _int_primitive, _make, _raw, _to_int_primitive
 
 IntPoly = Tuple[int, ...]
 
@@ -345,6 +351,21 @@ def squarefree_decomposition(p: Poly) -> List[Tuple[Poly, int]]:
     return out
 
 
+def _factor_quadratic(p: Poly) -> List[Tuple[Poly, int]]:
+    """`factor_poly`'s factor list for p of degree 2, read off its discriminant."""
+    c, b, a = _to_int_primitive(p)
+    d = b * b - 4 * a * c
+    s = math.isqrt(d) if d >= 0 else -1
+    if s * s != d:
+        return [(p.monic(), 1)]
+    # z - root = z + (b -+ s)/2a; with a > 0 and s >= 0 the "-" factor sorts first
+    a2 = 2 * a
+    low = _make([b - s, a2], a2)
+    if s == 0:
+        return [(low, 2)]
+    return [(low, 1), (_make([b + s, a2], a2), 1)]
+
+
 def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
     """Factor over Q: returns (leading coefficient, [(monic irreducible, multiplicity)]).
 
@@ -356,6 +377,10 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
     lead = p.lead
     if p.degree == 0:
         return lead, []
+    if p.degree == 1:
+        return lead, [(p.monic(), 1)]
+    if p.degree == 2:
+        return lead, _factor_quadratic(p)
     out: List[Tuple[Poly, int]] = []
     for part, mult in squarefree_decomposition(p):
         for fac in _factor_squarefree_int(_to_int_primitive(part)):

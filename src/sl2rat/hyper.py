@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .factor import factor_poly, monic_divisors, rational_roots
 from .matrix import Mat
-from .poly import Poly, _raw
+from .poly import Poly, _of_fractions, _raw
 from .ratfunc import RatFunc
 
 
@@ -97,14 +97,14 @@ def _poly_solutions(coeffs: Sequence[Poly], candidates: List[int]) -> List[Poly]
     for e in range(dmax + 1):
         img = Poly.zero()
         for i, p in enumerate(coeffs):
-            img = img + p * Poly((i, 1)) ** e
+            img = img + p * _raw((i, 1), 1) ** e
         images.append(img)
     nrows = b + dmax + 1
     rows = [[RatFunc.constant(images[e].coefficient(r)) for e in range(dmax + 1)] for r in range(nrows)]
     kernel = Mat(rows).kernel()
     out = []
     for v in kernel:
-        out.append(Poly([entry.constant_value() for entry in v]))
+        out.append(_of_fractions([entry.constant_value() for entry in v]))
     return [p for p in out if not p.is_zero()]
 
 
@@ -113,8 +113,9 @@ def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
     a0, am = coeffs[0], coeffs[m]
     if a0.is_zero() or am.is_zero():
         raise ValueError("trailing and leading coefficients must be nonzero")
+    Bs = monic_divisors(am.shifted(-(m - 1)))
     for A in monic_divisors(a0):
-        for B in monic_divisors(am.shifted(-(m - 1))):
+        for B in Bs:
             q: List[Poly] = []
             for i in range(m + 1):
                 t = coeffs[i]
@@ -124,7 +125,7 @@ def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
                     t = t * B.shifted(j)
                 q.append(t)
             D = max(p.degree for p in q)
-            chi = Poly([0])
+            chi = Poly.zero()
             for i, p in enumerate(q):
                 if p.degree == D:
                     chi = chi + Poly.monomial(p.lead, i)

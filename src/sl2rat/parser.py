@@ -22,6 +22,25 @@ MAX_NESTING = 100
 MAX_DEGREE = 1000
 """Largest degree of numerator or denominator that a power may produce."""
 
+MAX_POWER_BITS = 10_000
+"""Largest coefficient size, in bits, that a power may produce (see `_log2_height`)."""
+
+MAX_LITERAL_DIGITS = 1000
+"""Longest integer literal, in decimal digits."""
+
+
+def _log2_height(f: RatFunc) -> int:
+    """An integer h with |every integer coefficient of f^e| <= 2^(e*h) for all e >= 0.
+
+    Numerator and denominator are each an integer polynomial over a positive
+    integer; a power of n/d is n^e/d^e, the coefficients of n^e are at most
+    the e-th power of the l1 norm of n, and ceil(log2 x) = (x - 1).bit_length().
+    """
+    return max(
+        max(sum(map(abs, p._ints)) - 1, p._denom - 1, 0).bit_length()
+        for p in (f.num, f.den)
+    )
+
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
@@ -35,6 +54,8 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue
@@ -120,6 +141,8 @@ class _Parser:
             e = int(tok[1])
             if e * max(base.num.degree, base.den.degree) > MAX_DEGREE:
                 raise ParseError(f"power of degree above {MAX_DEGREE}", tok[2])
+            if e * _log2_height(base) > MAX_POWER_BITS:
+                raise ParseError(f"power with coefficients above {MAX_POWER_BITS} bits", tok[2])
             self.advance()
             return base ** e
         return base
@@ -145,9 +168,11 @@ def parse_ratfunc(text: str) -> RatFunc:
     """Parse an expression into canonical form.
 
     Raises ParseError with the offending position (also at the token that
-    nests deeper than MAX_NESTING, and at the exponent of a power whose
-    numerator or denominator would pass MAX_DEGREE), or ZeroDenominator
-    when a division by the zero polynomial occurs.
+    nests deeper than MAX_NESTING, at an integer literal longer than
+    MAX_LITERAL_DIGITS, and at the exponent of a power whose numerator or
+    denominator would pass MAX_DEGREE or whose coefficients could pass
+    MAX_POWER_BITS), or ZeroDenominator when a division by the zero
+    polynomial occurs.  Every check runs before the work it guards.
     """
     return _Parser(text).parse()
 

@@ -38,13 +38,9 @@ class Poly:
     __slots__ = ("_ints", "_denom", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        denom = math.lcm(*[c.denominator for c in cs])
-        ints = [c.numerator * (denom // c.denominator) for c in cs]
-        while ints and not ints[-1]:
-            ints.pop()
-        self._ints: Tuple[int, ...] = tuple(ints)
-        self._denom: int = denom
+        p = _of_fractions([_frac(c) for c in coeffs])
+        self._ints: Tuple[int, ...] = p._ints
+        self._denom: int = p._denom
         self._coeffs: Optional[Tuple[Fraction, ...]] = None
 
     # -- constructors -------------------------------------------------
@@ -274,6 +270,15 @@ def _raw(ints: Tuple[int, ...], denom: int) -> Poly:
     p = object.__new__(Poly)
     p._ints, p._denom, p._coeffs = ints, denom, None
     return p
+
+
+def _of_fractions(cs: Sequence[Fraction]) -> Poly:
+    """The Poly with ascending coefficients cs, each a `Fraction`."""
+    denom = math.lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (denom // c.denominator) for c in cs]
+    while ints and not ints[-1]:
+        ints.pop()
+    return _raw(tuple(ints), denom)
 
 
 def _make(ints: List[int], denom: int) -> Poly:

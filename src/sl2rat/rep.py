@@ -48,7 +48,7 @@ from .errors import (
 )
 from .factor import factor_poly
 from .matrix import Mat
-from .poly import Poly, mu_roots, pi_mu, poly_lcm
+from .poly import Poly, _of_fractions, mu_roots, pi_mu, poly_lcm
 from .ratfunc import RatFunc, as_ratfunc
 
 Scalar = Union[int, Fraction]
@@ -210,7 +210,7 @@ def _minpoly(C: Mat) -> Poly:
                             "local minimal polynomial has non-constant coefficients"
                         )
                     coeffs.append(-c)
-                local = Poly(coeffs + [1])
+                local = _of_fractions(coeffs + [Fraction(1)])
                 mp = poly_lcm(mp, local)
                 break
             krylov.append(nxt)

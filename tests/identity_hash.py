@@ -6,8 +6,11 @@ Two checkouts that print the same hash gave byte-identical answers on:
 rref, kernel, det, inverse and solve of 400 seeded matrices; factor_poly,
 poly_gcd, divmod (of p by q and of p*q by q), partial_fractions and shifted
 (by integers and by 1/2, -2/3 and 5/4) on 2,000 seeded polynomials and
-rational functions; the devissage class and tree, the level components and
-the filtration steps of 500 modules; `ext_build` of 100 seeded data with T
+rational functions; factor_poly, rational_roots and monic_divisors of 2,000
+seeded polynomials of degree 1 and 2 (rational roots, double roots, and
+random rational coefficients, so every sign of discriminant); the
+devissage class and tree, the level components and the filtration steps of
+500 modules; `ext_build` of 100 seeded data with T
 raised by 1 (the error type, or the built module).  The `monoidal` part,
 named on its own, hashes the tensor product with the next module, the
 internal Hom from it and the dual of 120 corpus modules of dims 1-4:
@@ -28,7 +31,7 @@ from fractions import Fraction
 from helpers import build_corpus, random_rank1_extension
 from sl2rat.errors import Sl2RatError
 from sl2rat.extension import ExtDatum, ext_build
-from sl2rat.factor import factor_poly
+from sl2rat.factor import factor_poly, monic_divisors, rational_roots
 from sl2rat.k0 import devissage, serialize_rep
 from sl2rat.matrix import Mat
 from sl2rat.monoidal import dual, internal_hom, tensor
@@ -115,6 +118,25 @@ def polys(rng):
             emit("rf", f"{f}|{f.shifted(1)}|{f.shifted(Fraction(-1, 2))}|{f * f + f}")
 
 
+def low_degree(rng):
+    for _ in range(2000):
+        if rng.random() < 0.5:
+            p = rand_poly(rng, rng.choice([1, 2, 2]))
+        else:
+            roots = [rand_coeff(rng) for _ in range(rng.randint(1, 2))]
+            if len(roots) == 2 and rng.random() < 0.3:
+                roots[1] = roots[0]
+            p = Poly.constant(rand_coeff(rng) or 1)
+            for r in roots:
+                p = p * Poly((-r, 1))
+        if p.is_zero():
+            continue
+        lead, facs = factor_poly(p)
+        emit("factor2", f"{lead}|" + ";".join(f"{f}^{e}" for f, e in facs))
+        emit("roots2", ",".join(map(str, rational_roots(p))))
+        emit("divisors2", ";".join(map(str, monic_divisors(p))))
+
+
 def modules():
     reps = build_corpus(seed=20240, count=200)
     rng = random.Random(4242)
@@ -169,11 +191,13 @@ def field(rng):
 
 
 def main():
-    parts = sys.argv[1:] or ["matrices", "polys", "modules"]
+    parts = sys.argv[1:] or ["matrices", "polys", "low_degree", "modules"]
     if "matrices" in parts:
         matrices(random.Random(900))
     if "polys" in parts:
         polys(random.Random(901))
+    if "low_degree" in parts:
+        low_degree(random.Random(903))
     if "modules" in parts:
         modules()
     if "monoidal" in parts:

@@ -155,3 +155,29 @@ def test_power_past_the_degree_bound_is_a_parse_error():
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
     assert elapsed < 1.0  # the power is refused before it is computed
+
+
+@pytest.mark.parametrize("r,position", [
+    ("3^20000000", 2),                       # ran 35 s, then an untyped ValueError at output
+    ("2^100000", 2),                         # an untyped ValueError at once
+    ("(z - 1)*(1/7)^4000", 14),
+    ("z + " + "9" * 5000, 4),                # int() refuses a literal past 4,300 digits
+    ("z^" + "1" * 5000, 2),
+])
+def test_oversized_power_or_literal_is_a_parse_error(r, position):
+    start = time.perf_counter()
+    proc = run_cli(["pic", "normalize"], stdin_text=json.dumps({"level": "0", "r": r}))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ParseError" and error["position"] == position
+    assert elapsed < 1.0  # refused before any power is computed
+
+
+def test_powers_and_literals_within_the_bounds_still_parse():
+    doc = {"level": "0", "r": "(z - 1)*2^10000/" + "3" * 1000}
+    proc = run_cli(["pic", "normalize"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 0 and proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["classes"] == [["z", 1]]
+    assert out["lead"] == f"{2 ** 10000}/{'3' * 1000}"

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from sl2rat.factor import (
+    _factor_squarefree_int,
     _gf_factor_squarefree,
     _hensel_lift_list,
     _pow_at_least,
@@ -16,7 +18,7 @@ from sl2rat.factor import (
     rational_roots,
     squarefree_decomposition,
 )
-from sl2rat.poly import Poly, _to_int_primitive, pi_mu
+from sl2rat.poly import Poly, _raw, _to_int_primitive, pi_mu
 
 
 Z = Poly.variable()
@@ -140,24 +142,74 @@ def _non_monic_products(seed, count):
         yield p
 
 
+def sympy_factor(sympy, p):
+    """(lead, {monic factor: multiplicity}) of p from sympy's factor_list."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(p.coeffs))
+    content, sym_facs = sympy.factor_list(expr)
+    expected = {}
+    lead = Fraction(str(content))
+    for g, mult in sym_facs:
+        gp = sympy.Poly(g, x)
+        lead *= Fraction(str(gp.LC())) ** mult
+        monic = Poly(Fraction(str(c)) for c in reversed(gp.monic().all_coeffs()))
+        expected[monic] = expected.get(monic, 0) + mult
+    return lead, expected
+
+
 def test_factor_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
     cases = [((2 * Z + 1) * (3 * Z - 1) * (Z ** 2 + 1)).shifted(k) for k in range(-2, 3)]
     cases += list(_non_monic_products(77, 30))
     for p in cases:
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(p.coeffs))
-        content, sym_facs = sympy.factor_list(expr)
-        expected = {}
-        lead = Fraction(str(content))
-        for g, mult in sym_facs:
-            gp = sympy.Poly(g, x)
-            lead *= Fraction(str(gp.LC())) ** mult
-            monic = Poly(Fraction(str(c)) for c in reversed(gp.monic().all_coeffs()))
-            expected[monic] = expected.get(monic, 0) + mult
+        lead, expected = sympy_factor(sympy, p)
         got_lead, got = factor_poly(p)
         assert got_lead == lead, p
         assert dict(got) == expected, p
+
+
+def _low_degree_cases(seed):
+    """Seeded polynomials of degree 1 and 2: rational, double and irrational roots."""
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5, 6]))
+
+    def lead():
+        return Fraction(rng.choice([1, -1, 2, -3, 4, 7]), rng.choice([1, 1, 2, 3]))
+
+    for _ in range(60):
+        yield Poly((frac(), lead()))
+        yield lead() * (Z - frac()) * (Z - frac())
+        yield lead() * (Z - frac()) ** 2
+        yield Poly((frac(), frac(), lead()))
+
+
+def _general_path(p):
+    """factor_poly's answer through Yun's decomposition and Zassenhaus, its path above degree 2.
+
+    On a squarefree p this is `_factor_squarefree_int` of p itself.
+    """
+    out = []
+    for part, mult in squarefree_decomposition(p):
+        out += [(_raw(fac, 1).monic(), mult) for fac in _factor_squarefree_int(_to_int_primitive(part))]
+    return p.lead, sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def test_low_degree_closed_form():
+    sympy = pytest.importorskip("sympy")
+    discriminants = set()
+    for p in _low_degree_cases(14):
+        lead, facs = factor_poly(p)
+        assert reassemble(lead, facs) == p, p
+        assert (lead, dict(facs)) == sympy_factor(sympy, p), p
+        assert (lead, facs) == _general_path(p), p
+        if p.degree == 2:
+            c, b, a = _to_int_primitive(p)
+            d = b * b - 4 * a * c
+            square = d >= 0 and math.isqrt(d) ** 2 == d
+            discriminants.add("negative" if d < 0 else "zero" if d == 0 else "square" if square else "non-square")
+    assert discriminants == {"negative", "zero", "square", "non-square"}
 
 
 def test_hensel_lift_multiplies_back():

@@ -94,3 +94,23 @@ def test_hyper_with_quadratic_coefficients():
     # y(z+1) = (z^2+1) y(z): certificate z^2 + 1
     xi, _ = hyper_search([-(Z * Z + 1), ONE])
     assert xi == RatFunc(Z * Z + 1)
+
+
+def test_hyper_search_walks_every_leading_divisor_for_each_trailing_one(monkeypatch):
+    # y(z+1) = (z+1)(z+2)/(z+5) y(z): only A = (z+1)(z+2), the last of the four
+    # monic divisors of a0, with B = z + 5, the second divisor of a1, certifies
+    import sl2rat.hyper as hyper
+
+    a0, a1 = (Z + 1) * (Z + 2), -(Z + 5)
+    assert len(hyper.monic_divisors(a0)) == 4 and len(hyper.monic_divisors(a1)) == 2
+    calls = []
+    original = hyper.monic_divisors
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(hyper, "monic_divisors", counted)
+    xi, _ = hyper_search([a0, a1])
+    assert xi == RatFunc(a0, Z + 5) and certifies([a0, a1], xi)
+    assert calls == [a1, a0]  # the leading coefficient's divisors are listed once, before the loop

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from sl2rat.errors import ParseError, ZeroDenominator
-from sl2rat.parser import MAX_DEGREE, MAX_NESTING, parse_poly, parse_ratfunc
+from sl2rat.parser import (
+    MAX_DEGREE,
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    _log2_height,
+    parse_poly,
+    parse_ratfunc,
+)
 from sl2rat.poly import Poly, poly_gcd
 from sl2rat.ratfunc import (
     RatFunc,
@@ -151,6 +159,31 @@ def test_parse_errors_have_positions():
         with pytest.raises(ParseError) as exc:
             parse_ratfunc(text)
         assert exc.value.position == position
+
+
+def test_coefficient_size_bounds():
+    # a literal of MAX_LITERAL_DIGITS digits parses; one more digit is refused at the literal
+    assert parse_ratfunc("9" * MAX_LITERAL_DIGITS).constant_value() == 10 ** MAX_LITERAL_DIGITS - 1
+    with pytest.raises(ParseError) as exc:
+        parse_ratfunc("z - " + "9" * (MAX_LITERAL_DIGITS + 1))
+    assert exc.value.position == 4
+    # a power reaching MAX_POWER_BITS parses; one bit more is refused at its exponent
+    assert parse_ratfunc(f"2^{MAX_POWER_BITS}").constant_value() == 2 ** MAX_POWER_BITS
+    for text, position in ((f"2^{MAX_POWER_BITS + 1}", 2), ("(1024*z + 1)^1000", 13),
+                           ("(1 + 3^5000)^2", 13), ("(-1)^10000000 + 3^20000000", 18)):
+        with pytest.raises(ParseError) as exc:
+            parse_ratfunc(text)
+        assert exc.value.position == position
+    # and the height bounds every integer coefficient of every power
+    rng = random.Random(31)
+    for _ in range(60):
+        num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))])
+        den = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [rng.choice([1, 2, 3])])
+        f = RatFunc(num if not num.is_zero() else Poly.one(), den)
+        h = _log2_height(f)
+        for e in range(6):
+            g = f ** e
+            assert all(abs(c) <= 2 ** (e * h) for p in (g.num, g.den) for c in p._ints + (p._denom,))
 
 
 def test_parse_format_round_trip():
