@@ -32,8 +32,8 @@ from .poly import Poly, poly_gcd, poly_lcm
 from .ratfunc import RatFunc
 from .rep import (
     RationalRep,
-    _canonical_filtration,
-    _level_decompose,
+    canonical_filtration,
+    level_decompose,
     quotient_by_invariant_subspace,
     require_casimir,
     restrict_to_invariant_subspace,
@@ -381,8 +381,8 @@ def devissage(rep: RationalRep, seed: int = 0) -> Tuple[K0Class, DevissageTree]:
     counts: Dict[FactorKey, int] = {}
     comp_nodes: List[ComponentNode] = []
     complete = True
-    for comp, C in _level_decompose(rep):
-        filtration = _canonical_filtration(comp, C)
+    for comp in level_decompose(rep):
+        filtration = canonical_filtration(comp)
         steps: List[StepNode] = []
         for idx, step in enumerate(filtration.steps, start=1):
             # the filtration certified every quotient Casimir of this level

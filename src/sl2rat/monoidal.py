@@ -27,7 +27,6 @@ from .ratfunc import RatFunc
 from .rep import (
     LevelComponent,
     RationalRep,
-    casimir_matrix,
     level_decompose,
     make_rep,
     rank1,
@@ -40,8 +39,7 @@ def unit() -> RationalRep:
 
 
 def _nilpotent_part(comp: LevelComponent) -> Mat:
-    C = casimir_matrix(comp.rep)
-    return C - Mat.diag([RatFunc.constant(comp.level)] * comp.rep.dim)
+    return comp.casimir - Mat.diag([RatFunc.constant(comp.level)] * comp.rep.dim)
 
 
 def _complete(mu: Fraction, B: Mat, M: Mat) -> Tuple[Mat, Mat]:

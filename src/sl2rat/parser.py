@@ -23,7 +23,7 @@ MAX_DEGREE = 1000
 """Largest degree of numerator or denominator that a power may produce."""
 
 MAX_POWER_BITS = 10_000
-"""Largest coefficient size, in bits, that a power may produce (see `_log2_height`)."""
+"""Largest coefficient size, in bits, that a power, product, quotient or sum may produce."""
 
 MAX_LITERAL_DIGITS = 1000
 """Longest integer literal, in decimal digits."""
@@ -40,6 +40,19 @@ def _log2_height(f: RatFunc) -> int:
         max(sum(map(abs, p._ints)) - 1, p._denom - 1, 0).bit_length()
         for p in (f.num, f.den)
     )
+
+
+def _log2_size(f: RatFunc) -> int:
+    """The least h with |every integer coefficient and denominator of f| <= 2^h."""
+    num, den = f.num, f.den
+    return (max(*map(abs, num._ints), *map(abs, den._ints), num._denom, den._denom) - 1).bit_length()
+
+
+def _bounded(value: RatFunc, op: Tuple[str, str, int]) -> RatFunc:
+    """`value`, the result of the binary operator token `op`, when its coefficients fit."""
+    if _log2_size(value) > MAX_POWER_BITS:
+        raise ParseError(f"{op[1]!r} result with coefficients above {MAX_POWER_BITS} bits", op[2])
+    return value
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -109,17 +122,17 @@ class _Parser:
     def expr(self) -> RatFunc:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op = self.advance()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _bounded(value + rhs if op[0] == "+" else value - rhs, op)
         return value
 
     def term(self) -> RatFunc:
         value = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+            op = self.advance()
             rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
+            value = _bounded(value * rhs if op[0] == "*" else value / rhs, op)
         return value
 
     def unary(self) -> RatFunc:
@@ -169,10 +182,13 @@ def parse_ratfunc(text: str) -> RatFunc:
 
     Raises ParseError with the offending position (also at the token that
     nests deeper than MAX_NESTING, at an integer literal longer than
-    MAX_LITERAL_DIGITS, and at the exponent of a power whose numerator or
+    MAX_LITERAL_DIGITS, at the exponent of a power whose numerator or
     denominator would pass MAX_DEGREE or whose coefficients could pass
-    MAX_POWER_BITS), or ZeroDenominator when a division by the zero
-    polynomial occurs.  Every check runs before the work it guards.
+    MAX_POWER_BITS, and at the operator of a product, quotient, sum or
+    difference whose coefficients pass MAX_POWER_BITS), or ZeroDenominator
+    when a division by the zero polynomial occurs.  The checks on literals
+    and powers run before the work they guard; a binary operator is checked
+    on its result, which its bounded operands keep cheap to compute.
     """
     return _Parser(text).parse()
 

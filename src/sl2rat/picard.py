@@ -16,6 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .factor import factor_poly
 from .poly import Poly
 from .ratfunc import RatFunc, as_ratfunc, leading_ratio
+from .rep import casimir_level
 from .shifts import canonical_shift_rep
 
 Scalar = Union[int, Fraction]
@@ -148,11 +149,10 @@ class IsoResult(NamedTuple):
 def _rank1_data(rep) -> Tuple[Fraction, RatFunc]:
     if rep.dim != 1:
         raise ValueError("expected a one-dimensional module")
-    r = rep.B[0, 0]
-    c = RatFunc(Poly((0, -1, 1))) - rep.A[0, 0] * r.shifted(-1)
-    if not c.is_constant():
+    mu = casimir_level(rep)
+    if mu is None:
         raise ValueError("one-dimensional module with non-constant Casimir")
-    return c.constant_value(), r
+    return mu, rep.B[0, 0]
 
 
 def iso_rank1(r1rep, r2rep) -> IsoResult:

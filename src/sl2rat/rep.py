@@ -23,10 +23,8 @@ polynomial is a single (t - mu)^e, (C - mu)^e = 0, so the generalized
 eigenspace is the whole module.  In both cases the kernel and restriction
 of the general path would return the unit basis and the same matrices.
 
-C is computed once per level split: `_level_decompose` hands each component
-its Casimir matrix (the split's own C on the shortcuts, the restriction's on
-the general path), and `_canonical_filtration` takes it from there.  The
-public `level_decompose` and `canonical_filtration` compute it themselves.
+Each `LevelComponent` carries its Casimir matrix, so C is computed once per
+level split and the filtration and the monoidal layer read it from there.
 """
 from __future__ import annotations
 
@@ -83,6 +81,7 @@ class LevelComponent:
     exponent: int
     basis: Mat  # ambient-coordinates columns spanning ker(C - level)^exponent
     rep: RationalRep  # the restricted representation
+    casimir: Mat  # the Casimir matrix of rep
 
 
 @dataclass(frozen=True)
@@ -334,15 +333,10 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
 
     A single level is the whole module on the unit basis (module docstring).
     """
-    return [comp for comp, _ in _level_decompose(rep)]
-
-
-def _level_decompose(rep: RationalRep) -> List[Tuple[LevelComponent, Mat]]:
-    """`level_decompose`, each component paired with its Casimir matrix."""
     C = casimir_matrix(rep)
     mu = _scalar_level(C)
     if mu is not None:
-        return [(LevelComponent(mu, 1, Mat.identity(rep.dim), rep), C)]
+        return [LevelComponent(mu, 1, Mat.identity(rep.dim), rep, C)]
     mp = _minpoly(C)
     _, facs = factor_poly(mp)
     for fac, _ in facs:
@@ -351,7 +345,7 @@ def _level_decompose(rep: RationalRep) -> List[Tuple[LevelComponent, Mat]]:
     levels = sorted((-fac.coefficient(0), mult) for fac, mult in facs)
     if len(levels) == 1:
         mu, mult = levels[0]
-        return [(LevelComponent(mu, mult, Mat.identity(rep.dim), rep), C)]
+        return [LevelComponent(mu, mult, Mat.identity(rep.dim), rep, C)]
     out = []
     total = 0
     for mu, mult in levels:
@@ -362,7 +356,7 @@ def _level_decompose(rep: RationalRep) -> List[Tuple[LevelComponent, Mat]]:
         basis_vectors = Mp.kernel()
         basis = Mat.from_columns(basis_vectors)
         sub = restrict_to_invariant_subspace(rep, basis)
-        out.append((LevelComponent(mu, mult, basis, sub), casimir_matrix(sub)))
+        out.append(LevelComponent(mu, mult, basis, sub, casimir_matrix(sub)))
         total += basis.ncols
     if total != rep.dim:
         raise ArithmeticError("component dimensions must sum to the total")
@@ -375,16 +369,11 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
     An exponent-1 component with C = mu Id is its own single quotient; any
     other component, consistent or not, takes the general loop.
     """
-    return _canonical_filtration(comp, casimir_matrix(comp.rep))
-
-
-def _canonical_filtration(comp: LevelComponent, C: Mat) -> Filtration:
-    """`canonical_filtration` of a component whose Casimir matrix is C."""
     rep = comp.rep
     mu = comp.level
-    if comp.exponent == 1 and _scalar_level(C) == mu:
+    if comp.exponent == 1 and _scalar_level(comp.casimir) == mu:
         return Filtration(mu, (FiltrationStep(Mat.identity(rep.dim), rep),))
-    N = C - Mat.diag([RatFunc.constant(mu)] * rep.dim)
+    N = comp.casimir - Mat.diag([RatFunc.constant(mu)] * rep.dim)
     cols: List[Tuple[RatFunc, ...]] = []
     steps: List[FiltrationStep] = []
     Np = Mat.identity(rep.dim)

@@ -181,3 +181,19 @@ def test_powers_and_literals_within_the_bounds_still_parse():
     out = json.loads(proc.stdout)
     assert out["classes"] == [["z", 1]]
     assert out["lead"] == f"{2 ** 10000}/{'3' * 1000}"
+    # a product of two powers that reaches the coefficient bound exactly
+    proc = run_cli(["pic", "normalize"], stdin_text=json.dumps({"level": "0", "r": "2^5000*2^5000"}))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["lead"] == str(2 ** 10000)
+
+
+@pytest.mark.parametrize("r,position", [
+    ("2^10000*2^10000", 7),                  # both used to end in an untyped ValueError when printed
+    ("*".join(["9" * 1000] * 5), 3002),      # refused at the third product
+    ("2^5000*2^5000 + 2^10000", 14),
+], ids=["power-product", "five-literals", "sum"])
+def test_oversized_product_or_sum_is_a_parse_error(r, position):
+    proc = run_cli(["pic", "normalize"], stdin_text=json.dumps({"level": "0", "r": r}))
+    assert proc.returncode == 1 and proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ParseError" and error["position"] == position

@@ -96,3 +96,20 @@ def test_format():
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod(Poly.one(), Poly.zero())
+
+
+def test_power_makes_no_squaring_past_the_last_bit(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    p = P(3, 7, 1)
+    expected = {n: p ** n for n in range(1, 10)}
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for n in range(1, 10):
+        calls.clear()
+        assert p ** n == expected[n]
+        assert len(calls) <= (n.bit_length() - 1) + bin(n).count("1")

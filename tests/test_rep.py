@@ -297,9 +297,9 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
     built = []
     components = []
 
-    def level_parts(pairs):
-        components.extend(pairs)
-        return [c.rep for c, _ in pairs]
+    def level_parts(comps):
+        components.extend(comps)
+        return [c.rep for c in comps]
 
     def recording(fn, parts):
         def wrapper(*args):
@@ -311,8 +311,8 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
 
     # the names k0 binds: level split, filtration, and the rank-1 splits
     parts_of = {
-        "_level_decompose": level_parts,
-        "_canonical_filtration": lambda filt: [s.quotient for s in filt.steps],
+        "level_decompose": level_parts,
+        "canonical_filtration": lambda filt: [s.quotient for s in filt.steps],
         "restrict_to_invariant_subspace": lambda rep: [rep],
         "quotient_by_invariant_subspace": lambda rep: [rep],
     }
@@ -329,8 +329,8 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
     for sub in built:
         validate(sub)
     assert len(components) >= len(modules)
-    for comp, C in components:
-        assert C == casimir_matrix(comp.rep)
+    for comp in components:
+        assert comp.casimir == casimir_matrix(comp.rep)
 
 
 def _reference_level_decompose(rep):
@@ -344,7 +344,8 @@ def _reference_level_decompose(rep):
         for _ in range(e):
             Me = Me * M
         basis = Mat.from_columns(Me.kernel())
-        out.append(LevelComponent(mu, e, basis, restrict_to_invariant_subspace(rep, basis)))
+        sub = restrict_to_invariant_subspace(rep, basis)
+        out.append(LevelComponent(mu, e, basis, sub, casimir_matrix(sub)))
     return out
 
 
@@ -391,7 +392,8 @@ def test_level_and_filtration_shortcuts_match_general_path():
 
 def test_filtration_of_inconsistent_exponent_one_component_raises():
     # C is nilpotent but not 0 * Id, so exponent 1 cannot exhaust the module
-    comp = LevelComponent(Fraction(0), 1, Mat.identity(2), t1_extension())
+    rep = t1_extension()
+    comp = LevelComponent(Fraction(0), 1, Mat.identity(2), rep, casimir_matrix(rep))
     with pytest.raises(ArithmeticError, match="filtration must exhaust the component"):
         canonical_filtration(comp)
 
@@ -401,6 +403,6 @@ def test_filtration_of_a_component_at_another_level_raises_level_mismatch():
     # ker(C - 5) = 0 and no filtration step exists
     for exponent in (1, 2):
         for rep in (rank1(0, Z), t1_extension()):
-            comp = LevelComponent(Fraction(5), exponent, Mat.identity(rep.dim), rep)
+            comp = LevelComponent(Fraction(5), exponent, Mat.identity(rep.dim), rep, casimir_matrix(rep))
             with pytest.raises(LevelMismatch):
                 canonical_filtration(comp)
