@@ -1,8 +1,9 @@
 """Scalar linear recurrences over Q(z): polynomial and hypergeometric solutions.
 
 `poly_solutions` finds the full space of polynomial solutions of
-sum_i p_i(z) y(z+i) = 0 through an exact degree bound (integer roots of the
-first non-vanishing indicial function) plus linear algebra.
+sum_i p_i(z) y(z+i) = 0 through an exact degree bound (the nonnegative
+integer roots of the leading coefficient of L(z^d) as a polynomial in d,
+read off the operator in the difference basis) plus linear algebra.
 
 `hyper_search` finds a rational certificate xi with
 
@@ -18,7 +19,7 @@ absence.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .factor import factor_poly, monic_divisors, rational_roots
@@ -27,56 +28,31 @@ from .poly import Poly, _of_fractions, _raw
 from .ratfunc import RatFunc
 
 
-def _binom_poly(s: int) -> Poly:
-    """binom(d, s) as a polynomial in d: d(d-1)...(d-s+1)/s!."""
-    out = Poly.one()
-    for i in range(s):
-        out = out * _raw((-i, 1), 1)
-    denom = 1
-    for i in range(1, s + 1):
-        denom *= i
-    return out * Fraction(1, denom)
-
-
-def _indicial(coeffs: Sequence[Poly], k: int) -> Poly:
-    """sigma_k(d): coefficient of z^(b+d-k) in sum_i p_i(z) (z+i)^d, as a poly in d."""
-    b = max(p.degree for p in coeffs)
-    total = Poly.zero()
-    for i, p in enumerate(coeffs):
-        for j in range(max(0, b - k), p.degree + 1):
-            s = k + j - b
-            if s < 0:
-                continue
-            c = p.coefficient(j)
-            if c == 0:
-                continue
-            power = i ** s if (i or s == 0) else 0
-            if power == 0:
-                continue
-            total = total + (c * power) * _binom_poly(s)
-    return total
-
-
 def poly_degree_candidates(coeffs: Sequence[Poly]) -> List[int]:
-    """Possible degrees of polynomial solutions (complete, finite)."""
-    b = max(p.degree for p in coeffs)
-    k0 = None
-    sigma = Poly.zero()
-    for k in range(0, b + len(coeffs) + 64):
-        sigma = _indicial(coeffs, k)
-        if not sigma.is_zero():
-            k0 = k
-            break
-    if k0 is None:
-        raise ArithmeticError("some indicial function must be nonzero")
-    candidates = set(range(0, max(0, k0 - b)))
-    _, facs = factor_poly(sigma)
-    for fac, _ in facs:
-        if fac.degree == 1:
-            root = -fac.coefficient(0)
-            if root.denominator == 1 and root >= 0:
-                candidates.add(int(root))
-    return sorted(candidates)
+    """Possible degrees of polynomial solutions (complete, finite).
+
+    In the difference basis the operator is sum_s q_s(z) Delta^s with
+    q_s = sum_i binom(i, s) p_i.  With b = max(deg q_s - s), L(z^d) has
+    degree at most d + b, and its z^(d+b) coefficient is
+    chi(d) = sum lead(q_s) d(d-1)...(d-s+1) over the s with deg q_s - s = b,
+    never zero as its terms have distinct degrees in d.  A solution's degree
+    is a root of chi or below -b; every d < -b is a root already, since each
+    term of chi has s = deg q_s - b >= -b.
+    """
+    q = [Poly.zero()] * len(coeffs)
+    for i, p in enumerate(coeffs):
+        for s in range(i + 1):
+            q[s] = q[s] + comb(i, s) * p
+    b = max(p.degree - s for s, p in enumerate(q) if not p.is_zero())
+    chi = Poly.zero()
+    falling = Poly.one()  # d(d-1)...(d-s+1)
+    for s, p in enumerate(q):
+        if not p.is_zero() and p.degree - s == b:
+            chi = chi + p.lead * falling
+        falling = falling * _raw((-s, 1), 1)
+    _, facs = factor_poly(chi)
+    roots = (-fac.coefficient(0) for fac, _ in facs if fac.degree == 1)
+    return sorted(int(root) for root in roots if root.denominator == 1 and root >= 0)
 
 
 def poly_solutions(coeffs: Sequence[Poly]) -> List[Poly]:

@@ -173,12 +173,11 @@ def _cyclic_reduction(B: Mat, seed: int) -> Tuple[List[RatFunc], Mat]:
         for _ in range(m):
             vecs.append(B * vecs[-1].shifted(1))
         K = Mat.from_columns([w.col(0) for w in vecs[:m]])
-        if K.rank() != m:
+        # K inverts exactly when [K | phi^m v] has pivots 0..m-1; its last column then solves
+        R, pivots = K.hstack(vecs[m]).rref()
+        if pivots != tuple(range(m)):
             continue
-        sol = K.solve(vecs[m])
-        if sol is None:
-            raise ArithmeticError("a full-rank Krylov basis must span the next iterate")
-        return [sol[i, 0] for i in range(m)], K
+        return [R[i, m] for i in range(m)], K
     raise CyclicVectorNotFound(f"no cyclic vector after {MAX_CYCLIC_ATTEMPTS} attempts")
 
 

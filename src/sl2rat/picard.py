@@ -53,14 +53,7 @@ def pic_invariant(mu: Scalar, r) -> PicInvariant:
     r = as_ratfunc(r)
     if r.is_zero():
         raise ValueError("invariants are defined for nonzero functions")
-    counts: Dict[Poly, int] = {}
-    for poly, sign in ((r.num, 1), (r.den, -1)):
-        if poly.degree < 1:
-            continue
-        _, facs = factor_poly(poly)
-        for fac, mult in facs:
-            rep, _ = canonical_shift_rep(fac)
-            counts[rep] = counts.get(rep, 0) + sign * mult
+    counts = {rep: len(zeros) - len(poles) for rep, (zeros, poles) in _offset_multisets(r).items()}
     return PicInvariant(Fraction(mu), leading_ratio(r), _canonical_classes(counts))
 
 
@@ -91,7 +84,7 @@ def pic_inverse(a: PicInvariant) -> PicInvariant:
 # -- the multiplicative difference equation t(z)/t(z+1) = f(z) --------------------
 
 
-def _offset_multisets(f: RatFunc) -> Optional[Dict[Poly, Tuple[List[int], List[int]]]]:
+def _offset_multisets(f: RatFunc) -> Dict[Poly, Tuple[List[int], List[int]]]:
     """Per canonical class: (zero offsets, pole offsets) with multiplicity."""
     out: Dict[Poly, Tuple[List[int], List[int]]] = {}
     for poly, which in ((f.num, 0), (f.den, 1)):

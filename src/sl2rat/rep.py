@@ -12,8 +12,10 @@ polynomial always has constant coefficients, which drives the level
 decomposition, the canonical filtration, and everything downstream.
 
 Modules built from outside data go through `make_rep` (the identity and both
-determinants); a restriction or quotient of a module is not re-validated,
-because the closure check that builds it is an exact certificate.
+determinants).  Subquotients are not re-validated: one rref of
+[P | B P(z+1) | A P(z-1)] certifies the restriction to the span of P, and a
+quotient or filtration step is a diagonal block of one restriction,
+certified by the zero blocks below it.
 
 The level split and the filtration skip what a theorem already settles.
 When C is entry by entry mu * Id (the certificate `casimir_level` uses),
@@ -304,25 +306,31 @@ def _complete_basis(P: Mat) -> Mat:
     return Mat.from_columns(chosen)
 
 
+def _diagonal_block(rep: RationalRep, lo: int, hi: int) -> RationalRep:
+    """Rows and columns lo..hi-1 of `rep`: the module span(e_1..e_hi) / span(e_1..e_lo).
+
+    NotInvariant unless both spans are closed, i.e. the rows below lo and
+    below hi of both operators vanish in the columns before them.
+    """
+    n = rep.dim
+    for k in (lo, hi):
+        if any(not M[i, j].is_zero() for M in (rep.A, rep.B) for i in range(k, n) for j in range(k)):
+            raise NotInvariant("column span is not closed under the operators")
+    rng = range(lo, hi)
+    return RationalRep(hi - lo, rep.A.submatrix(rng, rng), rep.B.submatrix(rng, rng))
+
+
 def quotient_by_invariant_subspace(rep: RationalRep, basis: Mat) -> RationalRep:
     """Representation on the quotient by the column span of `basis`.
 
-    `rep` must be a module.  Certificate: conjugating by U keeps the identity,
-    the lower-left blocks are zero, and det An = det A11 * det A22.
+    `rep` must be a module.  Completing `basis` by unit vectors to U, the
+    restriction to the columns of U (one rref) writes the module in the
+    basis U.  The quotient is its lower diagonal block, certified by the
+    zero block to its left; a diagonal block of a block-triangular module is
+    a module (det A = det A11 * det A22).
     """
-    k = basis.ncols
     U = _complete_basis(basis)
-    Uinv = U.inverse()
-    Bn = Uinv * rep.B * U.shifted(1)
-    An = Uinv * rep.A * U.shifted(-1)
-    n = rep.dim
-    lower = [(i, j) for i in range(k, n) for j in range(k)]
-    if any(not Bn[i, j].is_zero() for i, j in lower) or any(
-        not An[i, j].is_zero() for i, j in lower
-    ):
-        raise NotInvariant("column span is not closed under the operators")
-    rng = range(k, n)
-    return RationalRep(n - k, An.submatrix(rng, rng), Bn.submatrix(rng, rng))
+    return _diagonal_block(restrict_to_invariant_subspace(rep, U), basis.ncols, rep.dim)
 
 
 # -- level decomposition and canonical filtration --------------------------------
@@ -375,35 +383,30 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
         return Filtration(mu, (FiltrationStep(Mat.identity(rep.dim), rep),))
     N = comp.casimir - Mat.diag([RatFunc.constant(mu)] * rep.dim)
     cols: List[Tuple[RatFunc, ...]] = []
-    steps: List[FiltrationStep] = []
+    dims = [0]  # dim V^i
     Np = Mat.identity(rep.dim)
-    prev_dim = 0
-    prev_quot_dim = None
-    for i in range(1, comp.exponent + 1):
+    for _ in range(comp.exponent):
         Np = Np * N
         ker = Np.kernel()
         if not ker:  # only the first kernel can be empty; the later ones contain it
             raise LevelMismatch(f"{mu} is not an eigenvalue of the component's Casimir matrix")
         # extend the nested basis with kernel vectors that add rank
         cols = _independent_columns(cols + ker)
-        basis = Mat.from_columns(cols)
-        if basis.ncols != len(ker):
+        if len(cols) != len(ker):
             raise ArithmeticError("kernel basis extension lost rank")
-        sub = restrict_to_invariant_subspace(rep, basis)
-        if prev_dim == 0:
-            quotient = sub
-        else:
-            prefix = Mat.from_columns(Mat.identity(basis.ncols).columns()[:prev_dim])
-            quotient = quotient_by_invariant_subspace(sub, prefix)
-        qmu = casimir_level(quotient)
-        if qmu != mu:
+        dims.append(len(cols))
+    # the bases are nested, so V^i / V^(i-1) is one diagonal block of one restriction;
+    # an exponent below 1 makes no step and fails the exhaust check below
+    sub = restrict_to_invariant_subspace(rep, Mat.from_columns(cols)) if cols else rep
+    steps: List[FiltrationStep] = []
+    for lo, hi in zip(dims, dims[1:]):
+        quotient = _diagonal_block(sub, lo, hi)
+        if casimir_level(quotient) != mu:
             raise ArithmeticError("filtration quotient must be Casimir of the component level")
-        if prev_quot_dim is not None and quotient.dim > prev_quot_dim:
+        if steps and quotient.dim > steps[-1].quotient.dim:
             raise AssertionError("filtration quotient dimensions must be non-increasing")
-        prev_quot_dim = quotient.dim
-        steps.append(FiltrationStep(basis, quotient))
-        prev_dim = basis.ncols
-    if prev_dim != rep.dim:
+        steps.append(FiltrationStep(Mat.from_columns(cols[:hi]), quotient))
+    if dims[-1] != rep.dim:
         raise ArithmeticError("filtration must exhaust the component")
     return Filtration(mu, tuple(steps))
 

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
-from sl2rat.hyper import _search, hyper_search, poly_solutions
+import sl2rat.hyper as hyper
+from sl2rat.factor import factor_poly
+from sl2rat.hyper import _search, hyper_search, poly_degree_candidates, poly_solutions
 from sl2rat.poly import Poly
 from sl2rat.ratfunc import RatFunc
 
@@ -114,3 +117,84 @@ def test_hyper_search_walks_every_leading_divisor_for_each_trailing_one(monkeypa
     xi, _ = hyper_search([a0, a1])
     assert xi == RatFunc(a0, Z + 5) and certifies([a0, a1], xi)
     assert calls == [a1, a0]  # the leading coefficient's divisors are listed once, before the loop
+
+
+def _reference_binom_poly(s: int) -> Poly:
+    """binom(d, s) as a polynomial in d: d(d-1)...(d-s+1)/s!."""
+    out = Poly.one()
+    for i in range(s):
+        out = out * Poly((-i, 1))
+    return out * Fraction(1, math.factorial(s))
+
+
+def _reference_indicial(coeffs, k: int) -> Poly:
+    """sigma_k(d): coefficient of z^(b+d-k) in sum_i p_i(z) (z+i)^d, as a poly in d."""
+    b = max(p.degree for p in coeffs)
+    total = Poly.zero()
+    for i, p in enumerate(coeffs):
+        for j in range(max(0, b - k), p.degree + 1):
+            s = k + j - b
+            if s < 0:
+                continue
+            power = i ** s if (i or s == 0) else 0
+            if power and p.coefficient(j):
+                total = total + (p.coefficient(j) * power) * _reference_binom_poly(s)
+    return total
+
+
+def _reference_degree_candidates(coeffs):
+    """The indicial search: the first nonzero sigma_k gives range(k - b) and its integer roots.
+
+    Returns the sorted candidates and the length k - b of that run.
+    """
+    b = max(p.degree for p in coeffs)
+    k = next(k for k in range(b + len(coeffs) + 64) if not _reference_indicial(coeffs, k).is_zero())
+    candidates = set(range(max(0, k - b)))
+    for fac, _ in factor_poly(_reference_indicial(coeffs, k))[1]:
+        root = -fac.coefficient(0)
+        if fac.degree == 1 and root.denominator == 1 and root >= 0:
+            candidates.add(int(root))
+    return sorted(candidates), k - b
+
+
+def _random_poly(rng, max_degree):
+    return Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, max_degree + 1))])
+
+
+def test_degree_candidates_match_the_indicial_search(monkeypatch):
+    rng = random.Random(71)
+    operators = []
+    for _ in range(150):
+        coeffs = [_random_poly(rng, 3) for _ in range(rng.randint(2, 4))]
+        if any(not p.is_zero() for p in coeffs):
+            operators.append(coeffs)
+    # the cancelling family r(z) (E - 1)^k and its twin (E - 1)^k r(z): the top
+    # terms of sum_i p_i(z) (z+i)^d cancel for k orders in d
+    for k in range(1, 5):
+        for _ in range(6):
+            r = _random_poly(rng, 3)
+            if r.is_zero():
+                r = Z
+            signs = [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+            operators.append([c * r for c in signs])
+            operators.append([c * r.shifted(i) for i, c in enumerate(signs)])
+    # the scaled operators that the hypergeometric search probes
+    probed = []
+    original = hyper.poly_degree_candidates
+
+    def recording(coeffs):
+        probed.append(list(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(hyper, "poly_degree_candidates", recording)
+    for _ in range(20):
+        # (X - w)(X - u/v) with v(z) v(z+1) cleared, as in test_hyper_certificates_verify
+        u, v, w = Z + rng.randint(-3, 3), Z + rng.randint(-3, 3), Poly.constant(rng.choice([1, 2, -1]))
+        hyper_search([w * u * v.shifted(1), -(u.shifted(1) * v + w * v * v.shifted(1)), v * v.shifted(1)])
+    assert len(probed) >= 20
+    runs = 0
+    for coeffs in operators + probed:
+        want, run = _reference_degree_candidates(coeffs)
+        assert poly_degree_candidates(coeffs) == want, coeffs
+        runs += run > 0
+    assert runs >= 24  # r (E - 1)^k has the degrees below k - deg r as a run

@@ -288,6 +288,15 @@ def test_filtration_quotient_dims_two_one():
     assert filt.quotient_dims() == (2, 1)
 
 
+def _devissage_corpus():
+    rng = random.Random(31)
+    modules = build_corpus(seed=20240, count=60)
+    for _ in range(15):
+        d = random_rank1_extension(rng)
+        modules += [ext_build(d), d.left, d.right]
+    return modules
+
+
 def test_devissage_subquotients_pass_full_validation(monkeypatch):
     """Subquotients are built from their closure certificate; full validate agrees.
 
@@ -318,11 +327,7 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
     }
     for name, parts in parts_of.items():
         monkeypatch.setattr(k0, name, recording(getattr(k0, name), parts))
-    rng = random.Random(31)
-    modules = build_corpus(seed=20240, count=60)
-    for _ in range(15):
-        d = random_rank1_extension(rng)
-        modules += [ext_build(d), d.left, d.right]
+    modules = _devissage_corpus()
     for rep in modules:
         k0.devissage(rep)
     assert len(built) > len(modules)
@@ -349,6 +354,48 @@ def _reference_level_decompose(rep):
     return out
 
 
+def _reference_quotient(rep, basis):
+    """The quotient by conjugation: U^-1 B U(z+1) and U^-1 A U(z-1), U the basis completed by unit vectors."""
+    k, n = basis.ncols, rep.dim
+    candidates = basis.columns() + Mat.identity(n).columns()
+    _, pivots = Mat.from_columns(candidates).rref()
+    assert pivots[:k] == tuple(range(k))
+    U = Mat.from_columns([candidates[j] for j in pivots])
+    Uinv = U.inverse()
+    Bn = Uinv * rep.B * U.shifted(1)
+    An = Uinv * rep.A * U.shifted(-1)
+    if any(not M[i, j].is_zero() for M in (An, Bn) for i in range(k, n) for j in range(k)):
+        raise NotInvariant("column span is not closed under the operators")
+    rng = range(k, n)
+    return RationalRep(n - k, An.submatrix(rng, rng), Bn.submatrix(rng, rng))
+
+
+def test_quotient_matches_conjugation_on_devissage_sub_witnesses(monkeypatch):
+    """The block of one restriction equals the explicit conjugation on every sub that devissage splits off."""
+    calls = []
+    original = k0.quotient_by_invariant_subspace
+
+    def recording(rep, basis):
+        calls.append((rep, basis))
+        return original(rep, basis)
+
+    monkeypatch.setattr(k0, "quotient_by_invariant_subspace", recording)
+    for rep in _devissage_corpus():
+        k0.devissage(rep)
+    assert len(calls) >= 20
+    for rep, basis in calls:
+        assert quotient_by_invariant_subspace(rep, basis) == _reference_quotient(rep, basis)
+    w = t1_extension()
+    for basis in (Mat([[1], [0]]), Mat([[0], [1]])):
+        outcomes = []
+        for quotient in (quotient_by_invariant_subspace, _reference_quotient):
+            try:
+                outcomes.append(quotient(w, basis))
+            except NotInvariant:
+                outcomes.append("NotInvariant")
+        assert outcomes[0] == outcomes[1]
+
+
 def _reference_filtration(comp):
     """The nested-kernel filtration V^i = ker N^i with quotients V^i / V^(i-1)."""
     rep = comp.rep
@@ -365,7 +412,7 @@ def _reference_filtration(comp):
         sub = restrict_to_invariant_subspace(rep, basis)
         if prev:
             prefix = Mat.from_columns(Mat.identity(len(cols)).columns()[:prev])
-            sub = quotient_by_invariant_subspace(sub, prefix)
+            sub = _reference_quotient(sub, prefix)
         steps.append(FiltrationStep(basis, sub))
     return Filtration(comp.level, tuple(steps))
 
@@ -391,11 +438,13 @@ def test_level_and_filtration_shortcuts_match_general_path():
 
 
 def test_filtration_of_inconsistent_exponent_one_component_raises():
-    # C is nilpotent but not 0 * Id, so exponent 1 cannot exhaust the module
+    # C is nilpotent but not 0 * Id, so exponent 1 cannot exhaust the module;
+    # exponent 0 makes no step at all
     rep = t1_extension()
-    comp = LevelComponent(Fraction(0), 1, Mat.identity(2), rep, casimir_matrix(rep))
-    with pytest.raises(ArithmeticError, match="filtration must exhaust the component"):
-        canonical_filtration(comp)
+    for exponent in (1, 0):
+        comp = LevelComponent(Fraction(0), exponent, Mat.identity(2), rep, casimir_matrix(rep))
+        with pytest.raises(ArithmeticError, match="filtration must exhaust the component"):
+            canonical_filtration(comp)
 
 
 def test_filtration_of_a_component_at_another_level_raises_level_mismatch():
