@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Tuple, Union
@@ -32,7 +33,7 @@ from .extension import ExtDatum, exponent_of, ext_build, ext_class_equal, ext_is
 from .k0 import FactorKey, K0Class, Rank1Key, devissage
 from .matrix import Mat, mat_from_strings
 from .monoidal import dual, internal_hom, tensor
-from .parser import parse_ratfunc
+from .parser import MAX_LITERAL_DIGITS, parse_ratfunc
 from .picard import PicInvariant, iso_rank1, pic_inverse, pic_invariant, pic_mul, solve_mult_diff
 from .poly import format_poly
 from .ratfunc import RatFunc
@@ -68,7 +69,7 @@ def _load_doc(args) -> Any:
             raise SystemExit(2)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past int's digit limit
         raise InputError(f"input is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError("input JSON nests too deeply") from None
@@ -155,8 +156,15 @@ def _class_to_doc(cls: K0Class) -> List[Dict]:
 
 
 def _parse_level(text) -> Fraction:
+    """An exact rational such as -7/2, 0.25 or 1e-3, refused past the literal bound."""
+    literal = str(text)
+    if len(literal) > MAX_LITERAL_DIGITS:
+        raise InputError(f"exact rational longer than {MAX_LITERAL_DIGITS} characters")
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)", literal)
+    if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_LITERAL_DIGITS:
+        raise InputError(f"exact rational with a decimal exponent beyond {MAX_LITERAL_DIGITS}")
     try:
-        return Fraction(str(text))
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"not an exact rational: {text!r}") from None
 

@@ -196,25 +196,22 @@ def _minpoly(C: Mat) -> Poly:
     for start in range(n):
         if mp.degree == n:
             break
-        e = Mat.column([1 if i == start else 0 for i in range(n)])
-        krylov = [e]
-        while True:
-            nxt = C * krylov[-1]
-            cols = Mat.from_columns([k.col(0) for k in krylov])
-            sol = cols.solve(nxt)
-            if sol is not None:
-                coeffs = []
-                for i in range(len(krylov)):
-                    c = _constant_entry(sol[i, 0])
-                    if c is None:
-                        raise NonConstantMinpoly(
-                            "local minimal polynomial has non-constant coefficients"
-                        )
-                    coeffs.append(-c)
-                local = _of_fractions(coeffs + [Fraction(1)])
-                mp = poly_lcm(mp, local)
-                break
-            krylov.append(nxt)
+        # e, Ce, ..., C^n e: the pivots of one rref are 0..d-1, and its
+        # column d writes C^d e in the first d vectors
+        v = Mat.column([1 if i == start else 0 for i in range(n)])
+        krylov = [v.col(0)]
+        for _ in range(n):
+            v = C * v
+            krylov.append(v.col(0))
+        R, pivots = Mat.from_columns(krylov).rref()
+        d = len(pivots)
+        coeffs = []
+        for i in range(d):
+            c = _constant_entry(R[i, d])
+            if c is None:
+                raise NonConstantMinpoly("local minimal polynomial has non-constant coefficients")
+            coeffs.append(-c)
+        mp = poly_lcm(mp, _of_fractions(coeffs + [Fraction(1)]))
     return mp
 
 
@@ -394,6 +391,8 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
         cols = _independent_columns(cols + ker)
         if len(cols) != len(ker):
             raise ArithmeticError("kernel basis extension lost rank")
+        if len(cols) == dims[-1]:  # the exponent passes the nilpotency index of C - mu
+            raise ArithmeticError("filtration step must add rank")
         dims.append(len(cols))
     # the bases are nested, so V^i / V^(i-1) is one diagonal block of one restriction;
     # an exponent below 1 makes no step and fails the exhaust check below

@@ -33,6 +33,19 @@ def random_nonzero_ratfunc(rng: random.Random, max_factors: int = 2) -> RatFunc:
     return out
 
 
+QUADRATIC = Z * Z + 1  # irreducible over Q, so it is its own shift class
+
+
+def isomorphic_rank1_pair(rng: random.Random) -> tuple:
+    """(r1, r2) with r2 = r1 t(z)/t(z+1) for a random t with linear and quadratic factors."""
+    r1 = random_nonzero_ratfunc(rng, 2)
+    t = random_nonzero_ratfunc(rng, 3)
+    if rng.random() < 0.5:
+        q = QUADRATIC.shifted(rng.randint(-2, 2))
+        t = t * q if rng.random() < 0.5 else t / q
+    return r1, r1 * t / t.shifted(1)
+
+
 def random_rank1(rng: random.Random) -> RationalRep:
     return rank1(rng.choice(LEVELS), random_nonzero_ratfunc(rng))
 

@@ -22,22 +22,33 @@ of 2,000 seeded pairs of rational functions built from shared shifted
 factors (z + k)^j and quadratics, so that the reduced forms cancel:
 
     PYTHONPATH=<checkout>/src python3 tests/identity_hash.py field
+
+The `rank1` part, named on its own, hashes 400 seeded pairs of rank-1
+modules at equal and, one time in five, unequal levels: r2 = r1 t(z)/t(z+1),
+the same times 2 or times an irreducible quadratic, or an unrelated r2.  Per
+pair it hashes `iso_rank1` (reason and intertwiner), `pic_invariant` of r1,
+`solve_mult_diff` of r2/r1 and `classify_rank1` of the first module, and on
+the isomorphic pairs `ext_class_equal` of b1 against b1 plus a coboundary
+or plus a random function:
+
+    PYTHONPATH=<checkout>/src python3 tests/identity_hash.py rank1
 """
 import hashlib
 import random
 import sys
 from fractions import Fraction
 
-from helpers import build_corpus, random_rank1_extension
+from helpers import QUADRATIC, build_corpus, isomorphic_rank1_pair, random_nonzero_ratfunc, random_rank1_extension
 from sl2rat.errors import Sl2RatError
-from sl2rat.extension import ExtDatum, ext_build
+from sl2rat.extension import ExtDatum, ext_build, ext_class_equal
 from sl2rat.factor import factor_poly, monic_divisors, rational_roots
 from sl2rat.k0 import devissage, serialize_rep
 from sl2rat.matrix import Mat
 from sl2rat.monoidal import dual, internal_hom, tensor
+from sl2rat.picard import iso_rank1, pic_invariant, solve_mult_diff
 from sl2rat.poly import Poly, poly_gcd
 from sl2rat.ratfunc import RatFunc, partial_fractions
-from sl2rat.rep import canonical_filtration, level_decompose
+from sl2rat.rep import canonical_filtration, classify_rank1, level_decompose, rank1
 
 H = hashlib.sha256()
 COUNTS = {}
@@ -190,6 +201,38 @@ def field(rng):
         emit("pow", str(f ** n) if n > 0 or not f.is_zero() else "zero base")
 
 
+def rank1_pairs(rng):
+    levels = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4)]
+    for _ in range(400):
+        mu1 = rng.choice(levels)
+        mu2 = mu1 if rng.random() < 0.8 else rng.choice(levels)
+        r1, r2 = isomorphic_rank1_pair(rng)
+        kind = rng.choice(["iso", "iso", "double", "quadratic", "unrelated"])
+        if kind == "double":
+            r2 = 2 * r2
+        elif kind == "quadratic":
+            r2 = r2 * QUADRATIC
+        elif kind == "unrelated":
+            r2 = random_nonzero_ratfunc(rng, 3)
+        a, b = rank1(mu1, r1), rank1(mu2, r2)
+        iso = iso_rank1(a, b)
+        emit("iso", f"{kind}|{iso.reason}|{iso.intertwiner}")
+        emit("invariant", str(pic_invariant(mu1, r1)))
+        emit("solve_mult", str(solve_mult_diff(r2 / r1)))
+        emit("classify", str(classify_rank1(a)))
+        t = iso.intertwiner
+        if t is not None:
+            b1 = random_nonzero_ratfunc(rng, 2)
+            if rng.random() < 0.5:
+                g = random_nonzero_ratfunc(rng, 2)
+                b2 = b1 - r1 * (g.shifted(1) - g) / t.shifted(1)
+            else:
+                b2 = b1 + random_nonzero_ratfunc(rng, 2)
+            T1 = rng.choice([0, 1])
+            T2 = rng.choice([0, T1])
+            emit("ext_class", ext_class_equal(a, b, b1, b2, T1, T2))
+
+
 def main():
     parts = sys.argv[1:] or ["matrices", "polys", "low_degree", "modules"]
     if "matrices" in parts:
@@ -204,6 +247,8 @@ def main():
         monoidal()
     if "field" in parts:
         field(random.Random(902))
+    if "rank1" in parts:
+        rank1_pairs(random.Random(904))
     print(sorted(COUNTS.items()), file=sys.stderr)
     print(H.hexdigest())
 

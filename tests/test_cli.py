@@ -187,6 +187,36 @@ def test_powers_and_literals_within_the_bounds_still_parse():
     assert json.loads(proc.stdout)["lead"] == str(2 ** 10000)
 
 
+CLASS_EQ = {"level": "0", "r1": "1", "r2": "1", "b1": "1/(z - 3)", "b2": "1/z", "T1": "0", "T2": "0"}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["pic", "normalize"], '{"level": "1e20000000", "r": "z"}'),  # ran 26 s, then an untyped ValueError
+    (["pic", "normalize"], '{"level": "1e5000", "r": "z"}'),
+    (["pic", "normalize"], '{"level": "1e-5000", "r": "z"}'),
+    (["pic", "normalize"], '{"level": "%s", "r": "z"}' % ("9" * 5000)),
+    (["pic", "normalize"], '{"level": %s, "r": "z"}' % ("9" * 5000)),  # past int's digit limit in JSON
+    (["ext", "class-eq"], json.dumps({**CLASS_EQ, "T1": "1e5000"})),
+], ids=["exp-20000000", "exp-5000", "exp-minus-5000", "digits-5000", "json-int-5000", "class-eq-T1"])
+def test_oversized_level_is_an_input_error(argv, doc):
+    start = time.perf_counter()
+    proc = run_cli(argv, stdin_text=doc)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+    assert elapsed < 1.0  # refused before Fraction builds the number
+
+
+@pytest.mark.parametrize("level,printed", [
+    ("-7/2", "-7/2"), ("0.25", "1/4"), (0.25, "1/4"), (7, "7"), ("1e1000", str(10 ** 1000)),
+    ("2.5e-3", "1/400"), ("9" * 1000, "9" * 1000),
+])
+def test_levels_within_the_bounds_still_parse(level, printed):
+    proc = run_cli(["pic", "normalize"], stdin_text=json.dumps({"level": level, "r": "z"}))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["level"] == printed
+
+
 @pytest.mark.parametrize("r,position", [
     ("2^10000*2^10000", 7),                  # both used to end in an untyped ValueError when printed
     ("*".join(["9" * 1000] * 5), 3002),      # refused at the third product

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_nonzero_ratfunc, random_rank1
+from helpers import QUADRATIC, isomorphic_rank1_pair, random_nonzero_ratfunc, random_rank1
 from sl2rat.picard import (
     iso_rank1,
     level_of,
@@ -123,6 +123,22 @@ def test_iso_rank1_spec_examples():
     res = iso_rank1(r1, r1)
     assert res.intertwiner == RatFunc.one()
 
+    # equal shift classes, leading ratio 2: only the lead tells them apart
+    res = iso_rank1(rank1(0, 1), rank1(0, 2))
+    assert res.intertwiner is None and res.reason == "InvariantMismatch"
+
+
+def _three_way(mu, r1, r2) -> bool:
+    """Invariant equality, the multiplicative solver and iso_rank1 agree; the answer."""
+    same_inv = pic_invariant(mu, r1) == pic_invariant(mu, r2)
+    t_mult = solve_mult_diff(r2 / r1)
+    res = iso_rank1(rank1(mu, r1), rank1(mu, r2))
+    assert same_inv == (t_mult is not None) == (res.intertwiner is not None)
+    if res.intertwiner is not None:
+        t = res.intertwiner
+        assert r2 * t.shifted(1) == t * r1
+    return same_inv
+
 
 def test_iso_three_way_agreement():
     rng = random.Random(46)
@@ -130,12 +146,12 @@ def test_iso_three_way_agreement():
         mu = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
         r1 = random_nonzero_ratfunc(rng, 2)
         r2 = random_nonzero_ratfunc(rng, 2)
-        a = rank1(mu, r1)
-        b = rank1(mu, r2)
-        same_inv = pic_invariant(mu, r1) == pic_invariant(mu, r2)
-        t_mult = solve_mult_diff(r2 / r1)
-        res = iso_rank1(a, b)
-        assert same_inv == (t_mult is not None) == (res.intertwiner is not None)
-        if res.intertwiner is not None:
-            t = res.intertwiner
-            assert r2 * t.shifted(1) == t * r1
+        _three_way(mu, r1, r2)
+    # constructed isomorphic pairs, and their near misses by the lead and by a quadratic class
+    rng = random.Random(47)
+    for _ in range(25):
+        mu = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+        r1, r2 = isomorphic_rank1_pair(rng)
+        assert _three_way(mu, r1, r2)
+        assert not _three_way(mu, r1, 2 * r2)
+        assert not _three_way(mu, r1, r2 * QUADRATIC)

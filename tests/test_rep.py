@@ -447,6 +447,16 @@ def test_filtration_of_inconsistent_exponent_one_component_raises():
             canonical_filtration(comp)
 
 
+def test_filtration_past_the_nilpotency_index_raises():
+    # C - 0 vanishes on rank1(0, z) and squares to 0 on t1_extension(), so a
+    # step past that index adds no column
+    cases = [(rank1(0, Z), 2), (rank1(0, Z), 3), (t1_extension(), 3)]
+    for rep, exponent in cases:
+        comp = LevelComponent(Fraction(0), exponent, Mat.identity(rep.dim), rep, casimir_matrix(rep))
+        with pytest.raises(ArithmeticError, match="filtration step must add rank"):
+            canonical_filtration(comp)
+
+
 def test_filtration_of_a_component_at_another_level_raises_level_mismatch():
     # C = 0 * Id on rank1(0, z) and C is nilpotent on t1_extension(), so
     # ker(C - 5) = 0 and no filtration step exists
