@@ -29,13 +29,13 @@ from typing import Any, Callable, Dict, List, Tuple, Union
 
 from . import __version__
 from .errors import Sl2RatError
-from .extension import ExtDatum, exponent_of, ext_build, ext_class_equal, ext_is_casimir, solve_add_diff
+from .extension import ExtDatum, ext_build, ext_class_equal, ext_is_casimir, solve_add_diff
 from .k0 import FactorKey, K0Class, Rank1Key, devissage
 from .matrix import Mat, mat_from_strings
 from .monoidal import dual, internal_hom, tensor
-from .parser import MAX_LITERAL_DIGITS, parse_ratfunc
+from .parser import MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_POWER_BITS, _log2_height, parse_ratfunc
 from .picard import PicInvariant, iso_rank1, pic_inverse, pic_invariant, pic_mul, solve_mult_diff
-from .poly import format_poly
+from .poly import format_poly, pi_mu
 from .ratfunc import RatFunc
 from .rep import (
     PolynomialRep,
@@ -268,7 +268,31 @@ def _orbit(doc, args):
     mu = _parse_level(_need(doc, "level"))
     r = _ratfunc(doc, "r")
     m = _int(doc, "m", "orbit index m")
+    _check_orbit_size(r if m >= 0 else r / RatFunc(pi_mu(mu).shifted(1)), abs(m))
     return {"coefficient": str(cyclic_orbit(mu, r, m))}
+
+
+def _check_orbit_size(f: RatFunc, k: int) -> None:
+    """InputError when k shifted products of f would pass the parser's power bounds.
+
+    The orbit is a product of k shifts f(z + j) with |j| <= k, checked like a
+    power before any product is formed.  Degree: k times the larger degree
+    of f, a constant counting as 1 since each of the k products is formed.
+    Coefficients: write f = (A/a) / (B/b) with A, B integer polynomials of
+    degree at most D and positive integers a, b, all of l1 norm at most 2^h
+    (`_log2_height`).  A shift by j multiplies an l1 norm by at most
+    (1 + |j|)^D, so both integer products have l1 norm at most 2^(k(h + DL))
+    with L = ceil(log2(k + 1)).  The reduced numerator and denominator are
+    integer factors of those products, of degree at most kD, so Mignotte's
+    factor bound keeps their coefficients under 2^(kD) times that norm; the
+    canonical form puts a^k or b^k and a leading coefficient over them,
+    which adds at most kh bits.  In all, at most k(2h + D(L + 1)) bits.
+    """
+    degree = max(f.num.degree, f.den.degree)
+    if k * max(degree, 1) > MAX_DEGREE:
+        raise InputError(f"orbit of degree above {MAX_DEGREE}")
+    if k * (2 * _log2_height(f) + degree * (k.bit_length() + 1)) > MAX_POWER_BITS:
+        raise InputError(f"orbit with coefficients above {MAX_POWER_BITS} bits")
 
 
 def _pic_pair(doc) -> PicInvariant:
@@ -302,8 +326,8 @@ def _ext_build(doc, args):
 
 
 def _ext_casimir(doc, args):
-    datum = _ext_datum(doc)
-    return {"casimir": ext_is_casimir(datum), "exponent": exponent_of(ext_build(datum))}
+    casimir = ext_is_casimir(_ext_datum(doc))
+    return {"casimir": casimir, "exponent": 1 if casimir else 2}
 
 
 def _ext_class_eq(doc, args):

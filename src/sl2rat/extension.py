@@ -16,17 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InvalidExtensionData, LevelMismatch, NotARepresentation
+from .errors import InvalidExtensionData, LevelMismatch, LevelOutsideBaseField, NotARepresentation
 from .matrix import Mat
 from .picard import iso_rank1
 from .poly import Poly
 from .ratfunc import RatFunc, as_ratfunc, partial_fractions
 from .rep import (
     RationalRep,
-    casimir_minpoly,
+    casimir_level,
+    level_decompose,
     make_rep,
     require_casimir,
 )
+from .shifts import canonical_shift_rep
 
 Scalar = Union[int, Fraction]
 
@@ -70,26 +72,30 @@ def _upper(top_left: Mat, top_right: Mat, bottom_right: Mat) -> Mat:
 
 def exponent_of(rep: RationalRep) -> int:
     """Exponent of a generalized Casimir module (single-level input)."""
-    from .factor import factor_poly
-
-    mp = casimir_minpoly(rep)
-    _, facs = factor_poly(mp)
-    if len(facs) != 1 or facs[0][0].degree != 1:
+    try:
+        comps = level_decompose(rep)
+    except LevelOutsideBaseField as exc:
+        raise LevelMismatch("module has more than one level") from exc
+    if len(comps) != 1:
         raise LevelMismatch("module has more than one level")
-    return facs[0][1]
+    return comps[0].exponent
 
 
 def ext_is_casimir(datum: ExtDatum) -> bool:
-    """For same-level Casimir data: Casimir iff T = 0; cross-checked on the build."""
+    """For same-level Casimir data: Casimir iff T = 0, certified on the build.
+
+    C - mu maps the extension into its sub and kills the sub, so
+    (C - mu)^2 = 0: the exponent is 1 when C = mu * Id and 2 otherwise.  The
+    build certifies the datum, and its Casimir matrix is scalar exactly
+    when T = 0.
+    """
     mu_l = require_casimir(datum.left)
     mu_r = require_casimir(datum.right)
     if mu_l != mu_r:
         raise LevelMismatch("extension data requires equal levels")
     t_zero = datum.T.is_zero()
-    built = ext_build(datum)
-    n = exponent_of(built)
-    if (n == 1) != t_zero:
-        raise ArithmeticError("exponent must witness the T = 0 criterion")
+    if (casimir_level(ext_build(datum)) == mu_l) != t_zero:
+        raise ArithmeticError("the Casimir matrix must witness the T = 0 criterion")
     return t_zero
 
 
@@ -123,8 +129,6 @@ def solve_add_diff(s) -> Optional[RatFunc]:
     phi = RatFunc(_solve_add_poly(poly_part))
     # group principal parts: class rep -> order j -> offset -> numerator eta
     # where the piece is eta(z - u) / rep(z - u)^j
-    from .shifts import canonical_shift_rep
-
     groups = {}
     for q, j, a in pieces:
         rep, u = canonical_shift_rep(q)

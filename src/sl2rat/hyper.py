@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .factor import factor_poly, monic_divisors, rational_roots
+from .factor import monic_divisors, rational_roots
 from .matrix import Mat
 from .poly import Poly, _of_fractions, _raw
 from .ratfunc import RatFunc
@@ -50,9 +50,7 @@ def poly_degree_candidates(coeffs: Sequence[Poly]) -> List[int]:
         if not p.is_zero() and p.degree - s == b:
             chi = chi + p.lead * falling
         falling = falling * _raw((-s, 1), 1)
-    _, facs = factor_poly(chi)
-    roots = (-fac.coefficient(0) for fac, _ in facs if fac.degree == 1)
-    return sorted(int(root) for root in roots if root.denominator == 1 and root >= 0)
+    return [int(root) for root in rational_roots(chi) if root.denominator == 1 and root >= 0]
 
 
 def poly_solutions(coeffs: Sequence[Poly]) -> List[Poly]:

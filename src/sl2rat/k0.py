@@ -8,8 +8,11 @@ Casimir quotients by repeatedly splitting off one-dimensional submodules
 hypergeometric certificate search.  Both searches read only the raising
 matrix: a rank-1 submodule is found as a rank-1 quotient of the raising
 matrix B(z)^{-T} (the dual's, on a Casimir module), with no dual module
-built.  Every split carries an exact witness; the certificate tree
-serializes to a stable text form.
+built.  The search inverts no matrix.  On a module of level mu the Casimir
+identity A(z+1) B(z) = pi_mu(z+1) gives B(z)^{-T} = A(z+1)^T / pi_mu(z+1),
+and the one elimination of the Krylov matrix K that yields the cyclic
+reduction yields K^{-1} too.  Every split carries an exact witness; the
+certificate tree serializes to a stable text form.
 
 Factor keys are either Rank1 (a Picard invariant, faithful) or Opaque
 (level, dimension, canonical serialization of a Casimir witness, with an
@@ -28,7 +31,7 @@ from .errors import CyclicVectorNotFound
 from .hyper import hyper_search
 from .matrix import Mat
 from .picard import PicInvariant, pic_invariant
-from .poly import Poly, poly_gcd, poly_lcm
+from .poly import Poly, pi_mu, poly_gcd, poly_lcm
 from .ratfunc import RatFunc
 from .rep import (
     RationalRep,
@@ -147,11 +150,14 @@ def k0_eq(a: K0Class, b: K0Class) -> str:
 
 
 def _cyclic_reduction(B: Mat, seed: int) -> Tuple[List[RatFunc], Mat]:
-    """Coefficients c with phi^m v = sum c_i phi^i v, plus the Krylov basis matrix.
+    """Coefficients c with phi^m v = sum c_i phi^i v, plus the inverse Krylov matrix.
 
-    Constant vectors are not always cyclic (a scalar raising matrix fixes
-    every constant line), so after the standard basis the search tries the
-    Vandermonde-style vector (1, z, ..., z^(m-1)) and then seeded random
+    One rref of [K | phi^m v | Id] per attempt: K inverts exactly when the
+    pivots are 0..m-1, and the reduced form is then [Id | K^-1 phi^m v | K^-1],
+    so the Krylov elimination also yields K^-1 and the search inverts no
+    matrix.  Constant vectors are not always cyclic (a scalar raising matrix
+    fixes every constant line), so after the standard basis the search tries
+    the Vandermonde-style vector (1, z, ..., z^(m-1)) and then seeded random
     vectors with linear polynomial entries.
     """
     m = B.nrows
@@ -172,12 +178,11 @@ def _cyclic_reduction(B: Mat, seed: int) -> Tuple[List[RatFunc], Mat]:
         vecs = [Mat.column(v)]
         for _ in range(m):
             vecs.append(B * vecs[-1].shifted(1))
-        K = Mat.from_columns([w.col(0) for w in vecs[:m]])
-        # K inverts exactly when [K | phi^m v] has pivots 0..m-1; its last column then solves
-        R, pivots = K.hstack(vecs[m]).rref()
+        krylov = Mat.from_columns([w.col(0) for w in vecs])  # [K | phi^m v]
+        R, pivots = krylov.hstack(Mat.identity(m)).rref()
         if pivots != tuple(range(m)):
             continue
-        return [R[i, m] for i in range(m)], K
+        return [R[i, m] for i in range(m)], R.submatrix(range(m), range(m + 1, 2 * m + 1))
     raise CyclicVectorNotFound(f"no cyclic vector after {MAX_CYCLIC_ATTEMPTS} attempts")
 
 
@@ -194,7 +199,7 @@ def _quotient_search(B: Mat, seed: int) -> Tuple[Optional[Tuple[Tuple[RatFunc, .
     m = B.nrows
     if m == 1:
         return ((RatFunc.one(),), B[0, 0]), 0
-    c, K = _cyclic_reduction(B, seed)
+    c, K_inv = _cyclic_reduction(B, seed)
     if c[0].is_zero():
         # phi^m v in span of higher iterates only: cannot happen for automorphisms
         raise CyclicVectorNotFound("degenerate cyclic reduction")
@@ -207,7 +212,7 @@ def _quotient_search(B: Mat, seed: int) -> Tuple[Optional[Tuple[Tuple[RatFunc, .
     comp = [RatFunc.one()]
     for _ in range(m - 1):
         comp.append(xi * comp[-1].shifted(1))
-    p_row = Mat.row(comp) * K.inverse()
+    p_row = Mat.row(comp) * K_inv
     p = _normalize_covector(tuple(p_row.data[0]))
     pb = Mat.row(p) * B
     j = next(i for i, e in enumerate(p) if not e.is_zero())
@@ -242,13 +247,18 @@ def find_rank1_sub(rep: RationalRep, seed: int = 0):
     which on a Casimir module is the dual's raising matrix; no dual module
     is built.  The witness moves back as w = q^T with lambda = 1/lambda*.
     """
-    require_casimir(rep)
-    found, _ = _sub_search(rep, seed)
+    found, _ = _sub_search(rep, require_casimir(rep), seed)
     return found
 
 
-def _sub_search(rep: RationalRep, seed: int):
-    found, cap = _quotient_search(rep.B.inverse().transpose(), seed)
+def _sub_search(rep: RationalRep, mu: Fraction, seed: int):
+    """`find_rank1_sub` on a Casimir module of level mu, plus the degree cap.
+
+    At level mu, A(z+1) B(z) = pi_mu(z+1), so B(z)^{-T} = A(z+1)^T / pi_mu(z+1)
+    with no elimination; the transported witness is checked against B itself.
+    """
+    dual_B = (RatFunc.one() / RatFunc(pi_mu(mu).shifted(1))) * rep.A.shifted(1).transpose()
+    found, cap = _quotient_search(dual_B, seed)
     if found is None:
         return None, cap
     w, lam_star = found
@@ -312,56 +322,36 @@ def _vector_text(v: Sequence[RatFunc]) -> str:
 
 
 def _composition_leaves(rep: RationalRep, seed: int, mu: Fraction) -> Tuple[List[FactorLeaf], bool]:
-    """Leaves of a Casimir module whose level `mu` the caller has certified."""
-    leaves: List[FactorLeaf] = []
-    complete = True
+    """Leaves of a Casimir module whose level `mu` the caller has certified.
 
-    def recurse(r: RationalRep):
-        nonlocal complete
-        if r.dim == 1:
-            inv = pic_invariant(mu, r.B[0, 0])
-            leaves.append(FactorLeaf(Rank1Key(inv), "whole", ""))
-            return
-        sub, sub_cap = _sub_search(r, seed)
-        if sub is not None:
-            w, lam = sub
-            inv = pic_invariant(mu, lam)
-            leaves.append(
-                FactorLeaf(
-                    Rank1Key(inv), "sub", f"w={_vector_text(w)} lambda={lam} cap={sub_cap}"
-                )
-            )
-            quotient = quotient_by_invariant_subspace(r, Mat.from_columns([w]))
-            recurse(quotient)
-            return
-        quot, quot_cap = _quotient_search(r.B, seed)
-        if quot is not None:
-            p, lam = quot
-            kernel = Mat.row(p).kernel()
-            rest = restrict_to_invariant_subspace(r, Mat.from_columns(kernel))
-            recurse(rest)
-            inv = pic_invariant(mu, lam)
-            leaves.append(
-                FactorLeaf(
-                    Rank1Key(inv),
-                    "quotient",
-                    f"p={_vector_text(p)} lambda={lam} cap={quot_cap}",
-                )
-            )
-            return
-        certified = r.dim <= 3
-        if not certified:
-            complete = False
-        leaves.append(
-            FactorLeaf(
-                OpaqueKey(mu, r.dim, serialize_rep(r), certified),
-                "leaf",
-                f"no rank-1 sub or quotient (caps sub={sub_cap} quot={quot_cap})",
-            )
-        )
-
-    recurse(rep)
-    return leaves, complete
+    The leaves come bottom of the composition series first, with whether
+    every leaf is a certified factor.
+    """
+    if rep.dim == 1:
+        return [FactorLeaf(Rank1Key(pic_invariant(mu, rep.B[0, 0])), "whole", "")], True
+    sub, sub_cap = _sub_search(rep, mu, seed)
+    if sub is not None:
+        w, lam = sub
+        witness = f"w={_vector_text(w)} lambda={lam} cap={sub_cap}"
+        leaf = FactorLeaf(Rank1Key(pic_invariant(mu, lam)), "sub", witness)
+        quotient = quotient_by_invariant_subspace(rep, Mat.from_columns([w]))
+        leaves, complete = _composition_leaves(quotient, seed, mu)
+        return [leaf] + leaves, complete
+    quot, quot_cap = _quotient_search(rep.B, seed)
+    if quot is not None:
+        p, lam = quot
+        rest = restrict_to_invariant_subspace(rep, Mat.from_columns(Mat.row(p).kernel()))
+        leaves, complete = _composition_leaves(rest, seed, mu)
+        witness = f"p={_vector_text(p)} lambda={lam} cap={quot_cap}"
+        leaf = FactorLeaf(Rank1Key(pic_invariant(mu, lam)), "quotient", witness)
+        return leaves + [leaf], complete
+    certified = rep.dim <= 3
+    leaf = FactorLeaf(
+        OpaqueKey(mu, rep.dim, serialize_rep(rep), certified),
+        "leaf",
+        f"no rank-1 sub or quotient (caps sub={sub_cap} quot={quot_cap})",
+    )
+    return [leaf], certified
 
 
 def composition_factors(rep: RationalRep, seed: int = 0) -> Tuple[List[FactorKey], bool]:

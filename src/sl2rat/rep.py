@@ -49,7 +49,7 @@ from .errors import (
 from .factor import factor_poly
 from .matrix import Mat
 from .poly import Poly, _of_fractions, mu_roots, pi_mu, poly_lcm
-from .ratfunc import RatFunc, as_ratfunc
+from .ratfunc import RatFunc, as_ratfunc, pochhammer
 
 Scalar = Union[int, Fraction]
 
@@ -258,8 +258,6 @@ def level_shift(rep: RationalRep, nu: Scalar) -> RationalRep:
 
 def cyclic_orbit(mu: Scalar, r, m: int) -> RatFunc:
     """Coefficient of the m-th orbit vector of the cyclic generator w = 1."""
-    from .ratfunc import pochhammer
-
     r = as_ratfunc(r)
     if r.is_zero():
         raise ValueError("rank-1 modules need a nonzero rational function")
@@ -475,7 +473,7 @@ def classify_rank1(rep: RationalRep):
     rank-1 polynomial module.  Kinds II and III can both appear when the
     two linear factors are shift-equivalent.
     """
-    from .picard import pic_invariant
+    from .picard import pic_invariant  # picard imports this module
 
     if rep.dim != 1:
         raise ValueError("classification applies to one-dimensional modules")

@@ -3,8 +3,10 @@
 Golden files are produced by tests/make_goldens.py; regenerate them only
 when an output format change is intended and review the diff.
 """
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,11 +21,11 @@ with open(os.path.join(GOLD, "manifest.json"), "r", encoding="utf-8") as fh:
     MANIFEST = json.load(fh)
 
 
-def run_cli(argv, input_path=None, stdin_text=None):
+def run_cli(argv, input_path=None, stdin_text=None, timeout=None):
     cmd = [sys.executable, "-m", "sl2rat.cli", *argv]
     if input_path is not None:
         cmd += ["--input", input_path]
-    return subprocess.run(cmd, capture_output=True, text=True, input=stdin_text)
+    return subprocess.run(cmd, capture_output=True, text=True, input=stdin_text, timeout=timeout)
 
 
 @pytest.mark.parametrize("case", MANIFEST, ids=[c["name"] for c in MANIFEST])
@@ -227,3 +229,60 @@ def test_oversized_product_or_sum_is_a_parse_error(r, position):
     assert proc.returncode == 1 and proc.stderr == ""
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "ParseError" and error["position"] == position
+
+
+@pytest.mark.parametrize("r,m,message", [
+    ("z + 1/2", 2000, "degree"),  # ran 6 s, then an untyped ValueError
+    ("z + 1/2", 20000, "degree"),
+    ("z + 1/2", 10 ** 9, "degree"),
+    ("z + 1/2", -10 ** 9, "degree"),
+    ("1", 10 ** 9, "degree"),  # a constant still forms |m| products
+    ("z + 1/2", -500, "coefficients"),
+    ("2^5000*z", 2, "coefficients"),
+], ids=["2000", "20000", "1e9", "minus-1e9", "constant-1e9", "minus-500-bits", "wide-square"])
+def test_oversized_orbit_is_an_input_error(r, m, message):
+    start = time.perf_counter()
+    proc = run_cli(["orbit"], stdin_text=json.dumps({"level": "0", "r": r, "m": m}), timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError" and message in error["message"]
+    assert elapsed < 2.0  # refused before any product is formed
+
+
+def _orbit_oracle(r_text, m, level):
+    """The orbit coefficient from sympy: prod r(z+j), or 1/prod xi(z+j) with xi = r/pi_mu(z+1)."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    r = sympy.sympify(r_text.replace("^", "**"), locals={"z": z})
+    if m >= 0:
+        return sympy.prod([r.subs(z, z + j) for j in range(m)])
+    xi = r / ((z + 1) * z - sympy.Rational(level))
+    return 1 / sympy.prod([xi.subs(z, z + j) for j in range(m, 0)])
+
+
+@pytest.mark.parametrize("r,m", [("z + 1/2", 50), ("z + 1/2", -50), ("3", 1000), ("z^4 - 7/3*z + 2", -3)])
+def test_orbits_within_the_bounds_still_run(r, m):
+    sympy = pytest.importorskip("sympy")
+    proc = run_cli(["orbit"], stdin_text=json.dumps({"level": "2", "r": r, "m": m}))
+    assert proc.returncode == 0 and proc.stderr == ""
+    got = sympy.sympify(json.loads(proc.stdout)["coefficient"].replace("^", "**"))
+    assert sympy.simplify(got - _orbit_oracle(r, m, 2)) == 0
+
+
+def test_generated_orbit_requests_stay_within_the_bounds():
+    # the benchmark's rank-1 round asks for orbits with |m| <= 3 and r of degree <= 4
+    spec = importlib.util.spec_from_file_location("sl2rat_bench_gen", os.path.join(os.path.dirname(HERE), "bench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    from sl2rat.cli import _orbit
+
+    rng = random.Random(5)
+    requests = [req for _ in range(25) for req in gen.cli_round(rng) if req.argv == ("orbit",)]
+    assert len(requests) == 50
+    for req in requests:
+        assert "coefficient" in _orbit(json.loads(req.doc), None)

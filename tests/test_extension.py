@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -20,12 +22,13 @@ from sl2rat.extension import (
     ext_is_casimir,
     solve_add_diff,
 )
-from sl2rat.matrix import Mat
+from sl2rat.matrix import Mat, mat_from_strings
 from sl2rat.poly import Poly
 from sl2rat.ratfunc import RatFunc
 from sl2rat.rep import (
     casimir_level,
     casimir_matrix,
+    casimir_minpoly,
     direct_sum,
     make_rep,
     quotient_by_invariant_subspace,
@@ -34,6 +37,7 @@ from sl2rat.rep import (
 )
 
 Z = RatFunc.variable()
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_ext_build_spec_examples():
@@ -155,6 +159,38 @@ def test_ext_is_casimir():
     assert ext_is_casimir(ExtDatum(rho0, rho0, Mat([[0]]), Mat([[1]]))) is False
     with pytest.raises(LevelMismatch):
         ext_is_casimir(ExtDatum(rho0, rank1(1, 1), Mat([[0]]), Mat([[0]])))
+
+
+def test_ext_is_casimir_agrees_with_the_exponent():
+    # ext_is_casimir certifies the exponent on the build's Casimir matrix
+    # alone; the minimal polynomial of the same build is the reference
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(30):
+        datum = random_rank1_extension(rng)
+        casimir = ext_is_casimir(datum)
+        assert casimir == datum.T.is_zero()
+        assert exponent_of(ext_build(datum)) == (1 if casimir else 2)
+        mp = casimir_minpoly(ext_build(datum))
+        assert mp.degree == (1 if casimir else 2)
+        seen.add(casimir)
+    assert seen == {True, False}
+
+
+def test_exponent_of_refuses_all_but_one_rational_level():
+    with open(os.path.join(DATA, "levels_outside.json"), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    outside = make_rep(mat_from_strings(doc["Lm1"]), mat_from_strings(doc["L1"]))
+    assert casimir_minpoly(outside) == Poly((-2, 0, 1))  # t^2 - 2
+    two_levels = direct_sum(rank1(0, 1), rank1(1, Z))
+    generalized = ext_build(ExtDatum(rank1(0, 1), rank1(0, 1), Mat([[0]]), Mat([[1]])))
+    for rep in (outside, two_levels, direct_sum(generalized, rank1(2, 1))):
+        with pytest.raises(LevelMismatch, match="module has more than one level"):
+            exponent_of(rep)
+    assert exponent_of(rank1(Fraction(1, 2), Z)) == 1
+    assert exponent_of(direct_sum(rank1(1, 1), rank1(1, Z))) == 1
+    assert exponent_of(generalized) == 2
+    assert exponent_of(direct_sum(generalized, rank1(0, Z))) == 2
 
 
 def test_compatibility_identity_quarter_factor():

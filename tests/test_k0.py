@@ -8,6 +8,7 @@ from sl2rat.errors import NotCasimir
 from sl2rat.extension import ExtDatum, ext_build
 from sl2rat.k0 import (
     K0Class,
+    _cyclic_reduction,
     OpaqueKey,
     Rank1Key,
     composition_factors,
@@ -23,8 +24,9 @@ from sl2rat.k0 import (
 from sl2rat.matrix import Mat
 from sl2rat.monoidal import dual
 from sl2rat.picard import pic_invariant, section
+from sl2rat.poly import pi_mu
 from sl2rat.ratfunc import RatFunc
-from sl2rat.rep import casimir_from_L1, conjugate, direct_sum, is_casimir, rank1
+from sl2rat.rep import casimir_from_L1, conjugate, direct_sum, is_casimir, rank1, require_casimir
 
 Z = RatFunc.variable()
 
@@ -90,24 +92,77 @@ def test_witnesses_verify():
         assert row * w.B == lamq * row.shifted(1)
 
 
-def test_sub_search_matches_the_dual_reference():
-    # a rank-1 sub is searched as a quotient of B(z)^{-T}; the dual module,
-    # built through internal Hom, is the independent reference for both
-    # that matrix and the transported witness
+def casimir_corpus():
+    """Casimir modules of dims 2 and 3: corpus modules and rank-1 extensions with T = 0."""
     rng = random.Random(76)
     exts = [ext_build(random_rank1_extension(rng)) for _ in range(15)]
     corpus = [r for r in build_corpus(seed=20240, count=120) if 2 <= r.dim <= 3]
     reps = [r for r in corpus + exts if is_casimir(r)]
     assert len(reps) >= 40 and {r.dim for r in reps} == {2, 3}
-    for rep in reps:
+    return reps
+
+
+def casimir_inverse_transpose(rep):
+    """B(z)^{-T} read off the Casimir identity: A(z+1)^T / pi_mu(z+1)."""
+    mu = require_casimir(rep)
+    return (RatFunc.one() / RatFunc(pi_mu(mu).shifted(1))) * rep.A.shifted(1).transpose()
+
+
+def test_sub_search_matches_the_dual_reference():
+    # a rank-1 sub is searched as a quotient of B(z)^{-T}, read off the
+    # Casimir identity as A(z+1)^T / pi_mu(z+1); the dual module, built
+    # through internal Hom, is the independent reference for that matrix
+    # and for the transported witness
+    for rep in casimir_corpus():
+        inverse_transpose = rep.B.inverse().transpose()
+        assert casimir_inverse_transpose(rep) == inverse_transpose
         d = dual(rep)
-        assert d.B == rep.B.inverse().transpose()
+        assert d.B == inverse_transpose
         found = find_rank1_quotient(d)
         expected = None
         if found is not None:
             q, lam_star = found
             expected = (q, RatFunc.one() / lam_star)
         assert find_rank1_sub(rep) == expected
+
+
+def test_rank1_searches_invert_no_matrix(monkeypatch):
+    reps = casimir_corpus() + [irreducible_2dim(), b_unitriangular()]
+    calls = []
+    inverse = Mat.inverse
+
+    def counted(self):
+        calls.append(self.shape)
+        return inverse(self)
+
+    monkeypatch.setattr(Mat, "inverse", counted)
+    for rep in reps:
+        find_rank1_sub(rep)
+        find_rank1_quotient(rep)
+        devissage(rep)
+    assert calls == []
+
+
+def test_cyclic_reduction_returns_the_inverse_krylov_matrix():
+    # K = [v, phi v, ..., phi^(m-1) v] with phi v = B v(z+1); the reduction
+    # returns c with phi^m v = K c, and K^-1 from the same elimination
+    checked = 0
+    for rep in casimir_corpus() + [irreducible_2dim()]:
+        for B in (rep.B, casimir_inverse_transpose(rep)):
+            m = B.nrows
+            c, K_inv = _cyclic_reduction(B, seed=0)
+            K = K_inv.inverse()
+            v = K.col(0)
+            unit = any(v == tuple(RatFunc.constant(int(i == j)) for i in range(m)) for j in range(m))
+            vandermonde = v == tuple(Z ** i for i in range(m))
+            linear = all(e.den.degree == 0 and e.num.degree <= 1 for e in v)
+            assert unit or vandermonde or linear
+            for i in range(m - 1):
+                assert Mat.column(K.col(i + 1)) == B * Mat.column(K.col(i)).shifted(1)
+            phi_m = B * Mat.column(K.col(m - 1)).shifted(1)
+            assert phi_m == K * Mat.column(c)
+            checked += 1
+    assert checked >= 80
 
 
 def test_composition_factors_spec_examples():
