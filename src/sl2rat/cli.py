@@ -11,7 +11,8 @@ document to the output document; ``args`` is read only for ``--seed``.  The
 (``pic`` and ``ext`` map each action name to a function) and drives both
 argparse and dispatch: `execute` reads the document, runs the function,
 emits the result and turns domain errors into diagnostics, each in one
-place.  A field of the wrong JSON type or shape is an `InputError`.
+place.  A field of the wrong JSON type or shape is an `InputError`, and
+so is a zero r, r1, r2 (a rank-1 module) or f (solve-mult).
 
 Representation documents are {"dim": m, "L1": [[...]], "Lm1": [[...]]}
 with entries in the expression grammar; polynomial representations use the
@@ -93,6 +94,14 @@ def _ratfunc(doc: Dict, key: str) -> RatFunc:
     if not isinstance(text, str):
         raise InputError(f"field {key!r} must be a string")
     return parse_ratfunc(text)
+
+
+def _nonzero_ratfunc(doc: Dict, key: str) -> RatFunc:
+    """A field that must be a nonzero rational function: r of a rank-1 module, f of solve-mult."""
+    value = _ratfunc(doc, key)
+    if value.is_zero():
+        raise InputError(f"field {key!r} must be a nonzero rational function")
+    return value
 
 
 def _matrix(doc: Dict, key: str) -> Mat:
@@ -260,13 +269,13 @@ def _solve_add(doc, args):
 
 
 def _solve_mult(doc, args):
-    t = solve_mult_diff(_ratfunc(doc, "f"))
+    t = solve_mult_diff(_nonzero_ratfunc(doc, "f"))
     return {"solvable": False} if t is None else {"solvable": True, "t": str(t)}
 
 
 def _orbit(doc, args):
     mu = _parse_level(_need(doc, "level"))
-    r = _ratfunc(doc, "r")
+    r = _nonzero_ratfunc(doc, "r")
     m = _int(doc, "m", "orbit index m")
     _check_orbit_size(r if m >= 0 else r / RatFunc(pi_mu(mu).shifted(1)), abs(m))
     return {"coefficient": str(cyclic_orbit(mu, r, m))}
@@ -296,7 +305,7 @@ def _check_orbit_size(f: RatFunc, k: int) -> None:
 
 
 def _pic_pair(doc) -> PicInvariant:
-    return pic_invariant(_parse_level(_need(doc, "level")), _ratfunc(doc, "r"))
+    return pic_invariant(_parse_level(_need(doc, "level")), _nonzero_ratfunc(doc, "r"))
 
 
 def _pic_normalize(doc, args):
@@ -332,8 +341,8 @@ def _ext_casimir(doc, args):
 
 def _ext_class_eq(doc, args):
     mu = _parse_level(_need(doc, "level"))
-    rho1 = rank1(mu, _ratfunc(doc, "r1"))
-    rho2 = rank1(mu, _ratfunc(doc, "r2"))
+    rho1 = rank1(mu, _nonzero_ratfunc(doc, "r1"))
+    rho2 = rank1(mu, _nonzero_ratfunc(doc, "r2"))
     b1, b2 = _ratfunc(doc, "b1"), _ratfunc(doc, "b2")
     T1, T2 = _parse_level(_need(doc, "T1")), _parse_level(_need(doc, "T2"))
     return {"result": ext_class_equal(rho1, rho2, b1, b2, T1, T2)}

@@ -6,11 +6,13 @@ quadratic splits over Q exactly when its discriminant d = b^2 - 4ac is a
 perfect square (`math.isqrt(d)**2 == d`, the exact certificate), into
 z + (b -+ sqrt(d))/2a, which is one double factor when d = 0.
 
-Higher degrees: Yun squarefree decomposition, then Zassenhaus on each squarefree
-part (factor mod a good odd prime with distinct-degree / Cantor-Zassenhaus
-splitting, quadratic multifactor Hensel lifting up to a Mignotte-style
-bound, subset recombination with exact trial division over Z, which runs
-through `poly._int_pdivmod` like every other integer division).  One set
+Higher degrees: Yun squarefree decomposition; the closed form serves every
+squarefree part of degree <= 2, and Zassenhaus every larger one (factor mod
+a good odd prime with distinct-degree / Cantor-Zassenhaus splitting,
+quadratic multifactor Hensel lifting up to a Mignotte-style bound, subset
+recombination with exact trial division over Z, which runs through
+`poly._int_pdivmod` like every other integer division; after a split the
+same subset size is tried again on the factors that remain).  One set
 of dense (Z/m)[x] helpers serves both the factoring mod p (m = p) and the
 Hensel lifting mod p^k: division needs only that the divisor's lead is a
 unit mod m.  Everything is deterministic: primes are probed in increasing
@@ -176,20 +178,14 @@ def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List
         if not a:
             continue
         g = _zm_gcd(a, f, p)
-        if len(g) > 1:
-            left = g
-        else:
-            b = _zm_pow_mod(a, e, f, p)
-            g = _zm_gcd(_zm_sub(b, [1], p), f, p)
-            if len(g) <= 1 or len(g) == len(f):
+        if len(g) == 1:
+            g = _zm_gcd(_zm_sub(_zm_pow_mod(a, e, f, p), [1], p), f, p)
+            if len(g) in (1, len(f)):
                 continue
-            left = g
-        right, r = _zm_divmod(f, left, p)
+        right, r = _zm_divmod(f, g, p)
         if r:
             raise ArithmeticError("equal-degree split does not divide")
-        return sorted(
-            _equal_degree(left, d, p, rng) + _equal_degree(right, d, p, rng)
-        )
+        return _equal_degree(g, d, p, rng) + _equal_degree(right, d, p, rng)
 
 
 def _gf_factor_squarefree(f: List[int], p: int, rng: random.Random) -> List[List[int]]:
@@ -255,10 +251,8 @@ def _hensel_lift_list(f: List[int], lc: int, facs: List[List[int]], p: int, targ
 
 
 def _primes():
-    yield 3
-    yield 5
-    yield 7
-    n = 11
+    """The odd primes in increasing order."""
+    n = 3
     while True:
         if all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
             yield n
@@ -283,50 +277,37 @@ def _factor_squarefree_int(f: IntPoly) -> List[IntPoly]:
         if lc % p == 0:
             continue
         fp = _zm_red(f, p)
-        if len(fp) - 1 != n:
-            continue
-        if len(_zm_gcd(fp, _zm_deriv(fp, p), p)) > 1:
-            continue
-        break
+        if len(_zm_gcd(fp, _zm_deriv(fp, p), p)) == 1:
+            break
     mod_facs = _gf_factor_squarefree(fp, p, rng)
     if len(mod_facs) == 1:
         return [f]
     # Mignotte-style bound on coefficients of lc * (any monic rational factor)
-    norm1 = math.isqrt(sum(c * c for c in f)) + 1
-    bound = 2 * abs(lc) * (2 ** n) * norm1 + 1
+    norm2_above = math.isqrt(sum(c * c for c in f)) + 1  # an integer above the 2-norm of f
+    bound = 2 * abs(lc) * (2 ** n) * norm2_above + 1
     lifted = _hensel_lift_list(list(f), lc, mod_facs, p, bound)
     m = _pow_at_least(p, bound)
 
+    # f is the cofactor still to split and index lists its lifted factors;
+    # after a split the same subset size is tried again on what remains
     result: List[IntPoly] = []
     index = list(range(len(lifted)))
-    fcur = f
-    lc_cur = lc
     size = 1
     while 2 * size <= len(index):
-        found = True
-        while found:
-            found = False
-            for combo in itertools.combinations(index, size):
-                g = [lc_cur % m]
-                for i in combo:
-                    g = _zm_mul(g, lifted[i], m)
-                cand = _int_primitive(_symmetric(g, m))
-                if not cand:
-                    continue
-                quo, rem, scale = _int_pdivmod(fcur, cand)
-                if scale == 1 and not rem:  # cand divides fcur in Z[x]
-                    result.append(cand)
-                    fcur = quo
-                    lc_cur = fcur[-1]
-                    index = [i for i in index if i not in combo]
-                    found = True
-                    break
-            if 2 * size > len(index):
+        for combo in itertools.combinations(index, size):
+            g = [f[-1] % m]
+            for i in combo:
+                g = _zm_mul(g, lifted[i], m)
+            cand = _int_primitive(_symmetric(g, m))
+            quo, rem, scale = _int_pdivmod(f, cand)
+            if scale == 1 and not rem:  # cand divides f in Z[x]
+                result.append(cand)
+                f = quo
+                index = [i for i in index if i not in combo]
                 break
-        size += 1
-    if len(fcur) > 1:
-        result.append(_int_primitive(fcur))
-    return result
+        else:
+            size += 1
+    return result + [_int_primitive(f)]
 
 
 def squarefree_decomposition(p: Poly) -> List[Tuple[Poly, int]]:
@@ -334,9 +315,10 @@ def squarefree_decomposition(p: Poly) -> List[Tuple[Poly, int]]:
     f = p.monic()
     if f.degree < 1:
         return []
-    a = poly_gcd(f, f.derivative())
+    df = f.derivative()
+    a = poly_gcd(f, df)
     b = f // a
-    c = f.derivative() // a
+    c = df // a
     d = c - b.derivative()
     out = []
     i = 1
@@ -351,8 +333,10 @@ def squarefree_decomposition(p: Poly) -> List[Tuple[Poly, int]]:
     return out
 
 
-def _factor_quadratic(p: Poly) -> List[Tuple[Poly, int]]:
-    """`factor_poly`'s factor list for p of degree 2, read off its discriminant."""
+def _closed_form(p: Poly) -> List[Tuple[Poly, int]]:
+    """`factor_poly`'s factor list for p of degree 1 or 2; a quadratic is read off its discriminant."""
+    if p.degree == 1:
+        return [(p.monic(), 1)]
     c, b, a = _to_int_primitive(p)
     d = b * b - 4 * a * c
     s = math.isqrt(d) if d >= 0 else -1
@@ -377,14 +361,12 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
     lead = p.lead
     if p.degree == 0:
         return lead, []
-    if p.degree == 1:
-        return lead, [(p.monic(), 1)]
-    if p.degree == 2:
-        return lead, _factor_quadratic(p)
     out: List[Tuple[Poly, int]] = []
-    for part, mult in squarefree_decomposition(p):
-        for fac in _factor_squarefree_int(_to_int_primitive(part)):
-            out.append((_raw(fac, 1).monic(), mult))
+    for part, mult in [(p, 1)] if p.degree <= 2 else squarefree_decomposition(p):
+        if part.degree <= 2:
+            out += [(fac, e * mult) for fac, e in _closed_form(part)]
+        else:
+            out += [(_raw(fac, 1).monic(), mult) for fac in _factor_squarefree_int(_to_int_primitive(part))]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return lead, out
 

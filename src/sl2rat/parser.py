@@ -63,9 +63,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; not superscripts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", i)

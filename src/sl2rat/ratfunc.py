@@ -35,17 +35,9 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import ZeroDenominator
 from .factor import factor_poly
-from .poly import Poly, _make, format_poly, poly_gcd
+from .poly import Poly, _coerce as _as_poly, _make, format_poly, poly_gcd
 
 Scalar = Union[int, Fraction]
-
-
-def _as_poly(x) -> Optional[Poly]:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.constant(x)
-    return None
 
 
 class RatFunc:
@@ -305,18 +297,15 @@ def pochhammer(xi: RatFunc, m: int) -> RatFunc:
 
     P(xi, 0) = 1; P(xi, m) = xi(z) xi(z+1) ... xi(z+m-1) for m > 0;
     P(xi, m) = 1 / (xi(z+m) ... xi(z-1)) for m < 0.
+
+    The shifted numerators and denominators are multiplied out separately
+    and the quotient is reduced once, not once per factor.
     """
-    if m == 0:
-        return RatFunc.one()
-    if m > 0:
-        out = RatFunc.one()
-        for j in range(m):
-            out = out * xi.shifted(j)
-        return out
-    out = RatFunc.one()
-    for j in range(m, 0):
-        out = out * xi.shifted(j)
-    return RatFunc.one() / out
+    num, den = Poly.one(), Poly.one()
+    for j in range(m, 0) if m < 0 else range(m):
+        factor = xi.shifted(j)
+        num, den = num * factor.num, den * factor.den
+    return RatFunc(den, num) if m < 0 else RatFunc(num, den)
 
 
 # -- partial fractions ---------------------------------------------------------
@@ -352,7 +341,7 @@ def partial_fractions(f: RatFunc) -> Tuple[Poly, List[Tuple[Poly, int, Poly]]]:
     for q, e in facs:
         qe = q ** e
         cofactor = f.den // qe
-        if cofactor.degree > 0 or cofactor.coefficient(0) != 1:
+        if cofactor.degree > 0:  # f.den and q^e are monic, so a constant cofactor is 1
             g, u, _ = poly_xgcd(cofactor, qe)
             if g != Poly.one():
                 raise ArithmeticError("cofactor and prime power must be coprime")

@@ -250,6 +250,29 @@ def test_oversized_orbit_is_an_input_error(r, m, message):
     assert elapsed < 2.0  # refused before any product is formed
 
 
+def test_orbit_with_a_long_negative_index_runs():
+    # the orbit bounds admit m = -400 (degree 800); one reduction per factor took 29 s
+    proc = run_cli(["orbit"], stdin_text=json.dumps({"level": "0", "r": "z + 1/2", "m": -400}), timeout=20)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "coefficient" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["orbit"], {"level": "0", "r": "0", "m": 3}),
+    (["pic", "normalize"], {"level": "0", "r": "0"}),
+    (["pic", "mul"], {"first": {"level": "1", "r": "z"}, "second": {"level": "1", "r": "0"}}),
+    (["pic", "inv"], {"level": "2", "r": "z - z"}),
+    (["ext", "class-eq"], {**CLASS_EQ, "r1": "0"}),
+    (["ext", "class-eq"], {**CLASS_EQ, "r2": "0*z"}),
+    (["solve-mult"], {"f": "0"}),
+], ids=["orbit", "pic-normalize", "pic-mul", "pic-inv", "class-eq-r1", "class-eq-r2", "solve-mult"])
+def test_zero_function_is_an_input_error(argv, doc):
+    # each used to print {"type":"ValueError"}
+    proc = run_cli(argv, stdin_text=json.dumps(doc))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+
+
 def _orbit_oracle(r_text, m, level):
     """The orbit coefficient from sympy: prod r(z+j), or 1/prod xi(z+j) with xi = r/pi_mu(z+1)."""
     sympy = pytest.importorskip("sympy")

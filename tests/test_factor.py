@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import sl2rat.factor
 from sl2rat.factor import (
     _factor_squarefree_int,
     _gf_factor_squarefree,
@@ -231,3 +232,65 @@ def test_hensel_lift_multiplies_back():
         for g in lifted:
             prod = _zm_mul(prod, g, m)
         assert prod == _zm_red([c * pow(lc, -1, m) for c in f], m)
+
+
+def _with_quadratic_parts(seed, count):
+    """Seeded polynomials of degree 3-12 built from split and irreducible quadratics at distinct multiplicities."""
+    rng = random.Random(seed)
+
+    def quadratic():
+        if rng.random() < 0.5:
+            a, b = rng.sample([Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)], 2)
+            return (Z - a) * (Z - b)
+        return rng.choice([Z ** 2 + 1, Z ** 2 - 2, Z ** 2 + Z + 1, 3 * Z ** 2 - 5]).shifted(rng.randint(-3, 3))
+
+    made = 0
+    while made < count:
+        exponents = rng.sample([1, 2, 3], 3)
+        p = Poly.constant(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5])))
+        p = p * quadratic() ** exponents[0]
+        if rng.random() < 0.7:
+            p = p * quadratic() ** exponents[1]
+        if rng.random() < 0.5:
+            p = p * rng.choice([Z - rng.randint(-4, 4), Z ** 3 - 2, Z ** 4 - 10 * Z ** 2 + 1]) ** exponents[2]
+        if 3 <= p.degree <= 12:
+            made += 1
+            yield p
+
+
+def test_quadratic_parts_take_the_closed_form(monkeypatch):
+    degrees = []
+
+    def recording(f):
+        degrees.append(len(f) - 1)
+        return _factor_squarefree_int(f)
+
+    monkeypatch.setattr(sl2rat.factor, "_factor_squarefree_int", recording)
+    kinds = set()
+    for p in _with_quadratic_parts(20, 80):
+        lead, facs = factor_poly(p)
+        assert reassemble(lead, facs) == p, p
+        assert (lead, facs) == _general_path(p), p
+        for part, mult in squarefree_decomposition(p):
+            if part.degree == 2:
+                c, b, a = _to_int_primitive(part)
+                d = b * b - 4 * a * c
+                kinds.add(("split" if d >= 0 and math.isqrt(d) ** 2 == d else "irreducible", mult > 1))
+    assert kinds == {(kind, repeated) for kind in ("split", "irreducible") for repeated in (False, True)}
+    assert degrees and 2 not in degrees
+
+
+def test_recombination_retries_the_subset_size_after_a_split():
+    # S2 = z^4 - 10 z^2 + 1 is irreducible over Q but splits mod every prime, so
+    # the true factors found beside it are found among spurious subsets
+    sympy = pytest.importorskip("sympy")
+    s2 = Z ** 4 - 10 * Z ** 2 + 1
+    for g, h in [(Z - 2, 2 * Z + 3), (Z + 1, Z - 1), (Z ** 2 - 2, Z ** 3 - 2), (3 * Z - 1, Z ** 2 + Z + 1),
+                 (Z ** 2 + 1, Z ** 2 + 3)]:
+        p = 5 * s2 * g * h
+        lead, expected = sympy_factor(sympy, p)
+        got_lead, got = factor_poly(p)
+        assert got_lead == lead and dict(got) == expected, p
+        assert sorted(_factor_squarefree_int(_to_int_primitive(p))) == sorted(
+            _to_int_primitive(q) for q in expected
+        ), p

@@ -125,6 +125,25 @@ def test_pochhammer_telescoping():
         assert lhs == pochhammer(xi, m + n)
 
 
+def test_pochhammer_matches_the_step_by_step_product():
+    # xi with shared shifted factors, so the one reduction at the end has to cancel
+    rng = random.Random(31)
+
+    def factor():
+        return rng.choice([Z + rng.randint(-3, 3), Z * Z + rng.randint(1, 3), 2 * Z + 1])
+
+    for _ in range(12):
+        xi = RatFunc.constant(rng.choice([1, -2, Fraction(3, 5)])) / factor()
+        for _ in range(rng.randint(0, 2)):
+            xi = xi * factor() if rng.random() < 0.5 else xi / factor()
+        assert not xi.is_polynomial()
+        for m in range(-8, 9):
+            steps = RatFunc.one()
+            for j in range(m, 0) if m < 0 else range(m):
+                steps = steps * xi.shifted(j)
+            assert pochhammer(xi, m) == (1 / steps if m < 0 else steps), (xi, m)
+
+
 def test_parse_spec_examples():
     f = parse_ratfunc("(z-1)/z")
     assert f.num == Poly([-1, 1]) and f.den == Poly([0, 1])
@@ -146,6 +165,14 @@ def test_parse_errors_have_positions():
         parse_ratfunc("z^-1")
     with pytest.raises(ParseError):
         parse_ratfunc("(z + 1")
+    # superscript digits pass str.isdigit() but not int(): refused where they stand
+    for text, position in (("z^\u00b2", 2), ("\u00b3*z", 0), ("z + 1\u00b2", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_ratfunc(text)
+        assert exc.value.position == position
+        assert str(exc.value).startswith(f"unexpected character {text[position]!r}")
+    # decimal digits of other scripts are read as int() reads them
+    assert parse_ratfunc("z^\u0663") == parse_ratfunc("z^3")
     # nesting past MAX_NESTING is a ParseError at the first token too deep, not a RecursionError
     n = MAX_NESTING
     assert parse_ratfunc("(" * n + "z" + ")" * n) == parse_ratfunc("-" * n + "z") == RatFunc.variable()
