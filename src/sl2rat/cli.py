@@ -14,6 +14,11 @@ emits the result and turns domain errors into diagnostics, each in one
 place.  A field of the wrong JSON type or shape is an `InputError`, and
 so is a zero r, r1, r2 (a rank-1 module) or f (solve-mult).
 
+Commands import the library modules they run when they run, so a fresh
+process answering `pic normalize` loads neither `rep` nor `matrix`, and only
+`devissage` loads `k0` and `hyper`.  Module attributes are read at call time,
+never bound into this module.
+
 Representation documents are {"dim": m, "L1": [[...]], "Lm1": [[...]]}
 with entries in the expression grammar; polynomial representations use the
 same schema with polynomial entries.
@@ -26,36 +31,18 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, Union
 
 from . import __version__
-from .errors import Sl2RatError
-from .extension import ExtDatum, ext_build, ext_class_equal, ext_is_casimir, solve_add_diff
-from .k0 import FactorKey, K0Class, Rank1Key, devissage
-from .matrix import Mat, mat_from_strings
-from .monoidal import dual, internal_hom, tensor
-from .parser import MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_POWER_BITS, _log2_height, parse_ratfunc
-from .picard import PicInvariant, iso_rank1, pic_inverse, pic_invariant, pic_mul, solve_mult_diff
-from .poly import format_poly, pi_mu
-from .ratfunc import RatFunc
-from .rep import (
-    PolynomialRep,
-    RationalRep,
-    canonical_filtration,
-    casimir_matrix,
-    casimir_minpoly,
-    classify_rank1,
-    cyclic_orbit,
-    level_decompose,
-    rank1,
-    rationalize,
-    require_casimir,
-    validate,
-)
+from .errors import InputError, Sl2RatError
 
-
-class InputError(Sl2RatError):
-    """Malformed input document."""
+if TYPE_CHECKING:
+    from .extension import ExtDatum
+    from .k0 import FactorKey, K0Class
+    from .matrix import Mat
+    from .picard import PicInvariant
+    from .ratfunc import RatFunc
+    from .rep import RationalRep
 
 
 def _load_doc(args) -> Any:
@@ -90,6 +77,8 @@ def _int(doc: Dict, key: str, name: str) -> int:
 
 
 def _ratfunc(doc: Dict, key: str) -> RatFunc:
+    from .parser import parse_ratfunc
+
     text = _need(doc, key)
     if not isinstance(text, str):
         raise InputError(f"field {key!r} must be a string")
@@ -105,6 +94,8 @@ def _nonzero_ratfunc(doc: Dict, key: str) -> RatFunc:
 
 
 def _matrix(doc: Dict, key: str) -> Mat:
+    from .matrix import mat_from_strings
+
     rows = _need(doc, key)
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
@@ -126,6 +117,8 @@ def _operators(doc: Dict) -> Tuple[int, Mat, Mat]:
 
 
 def _rep_from_doc(doc: Dict) -> RationalRep:
+    from .rep import RationalRep, validate
+
     return validate(RationalRep(*_operators(doc)))
 
 
@@ -146,6 +139,8 @@ def _invariant_to_doc(inv: PicInvariant) -> Dict:
 
 
 def _key_to_doc(key: FactorKey) -> Dict:
+    from .k0 import Rank1Key
+
     if isinstance(key, Rank1Key):
         doc = _invariant_to_doc(key.invariant)
         doc["kind"] = "rank1"
@@ -166,6 +161,8 @@ def _class_to_doc(cls: K0Class) -> List[Dict]:
 
 def _parse_level(text) -> Fraction:
     """An exact rational such as -7/2, 0.25 or 1e-3, refused past the literal bound."""
+    from .parser import MAX_LITERAL_DIGITS
+
     literal = str(text)
     if len(literal) > MAX_LITERAL_DIGITS:
         raise InputError(f"exact rational longer than {MAX_LITERAL_DIGITS} characters")
@@ -204,19 +201,28 @@ def _validate(doc, args):
 
 
 def _casimir(doc, args):
+    from .rep import casimir_matrix
+
     return {"matrix": casimir_matrix(_rep_from_doc(doc)).to_strings()}
 
 
 def _minpoly(doc, args):
+    from .poly import format_poly
+    from .rep import casimir_minpoly
+
     return {"minpoly": format_poly(casimir_minpoly(_rep_from_doc(doc)), "t")}
 
 
 def _levels(doc, args):
+    from .rep import level_decompose
+
     comps = level_decompose(_rep_from_doc(doc))
     return {"levels": [{"level": str(c.level), "exponent": c.exponent, "dim": c.rep.dim} for c in comps]}
 
 
 def _filtration(doc, args):
+    from .rep import canonical_filtration, level_decompose
+
     comps = level_decompose(_rep_from_doc(doc))
     if len(comps) != 1:
         raise InputError("filtration expects a single-level module; use `levels` first")
@@ -230,50 +236,77 @@ def _filtration(doc, args):
 
 
 def _devissage(doc, args):
+    from .k0 import devissage
+
     cls, tree = devissage(_rep_from_doc(doc), seed=args.seed)
     return {"class": _class_to_doc(cls), "tree": tree.serialize()}
 
 
 def _tensor(doc, args):
+    from .monoidal import tensor
+
     return _rep_to_doc(tensor(*_pair(doc)))
 
 
 def _hom(doc, args):
+    from .monoidal import internal_hom
+
     return _rep_to_doc(internal_hom(*_pair(doc)))
 
 
 def _dual(doc, args):
+    from .monoidal import dual
+
     return _rep_to_doc(dual(_rep_from_doc(doc)))
 
 
 def _iso(doc, args):
-    result = iso_rank1(*_pair(doc))
+    from .picard import iso_rank1
+
+    first, second = _pair(doc)
+    if first.dim != 1 or second.dim != 1:
+        raise InputError("expected a one-dimensional module")
+    result = iso_rank1(first, second)
     if result.intertwiner is None:
         return {"isomorphic": False, "reason": result.reason}
     return {"isomorphic": True, "intertwiner": str(result.intertwiner)}
 
 
 def _classify_rank1(doc, args):
+    from .rep import classify_rank1, require_casimir
+
     rep = _rep_from_doc(doc)
+    if rep.dim != 1:
+        raise InputError("classification applies to one-dimensional modules")
     kinds = classify_rank1(rep)
     return {"level": str(require_casimir(rep)), "kinds": [{"kind": k, "gamma": str(g)} for k, g in kinds]}
 
 
 def _rationalize(doc, args):
+    from .rep import PolynomialRep, rationalize
+
     return _rep_to_doc(rationalize(PolynomialRep(*_operators(doc))))
 
 
 def _solve_add(doc, args):
+    from .extension import solve_add_diff
+
     phi = solve_add_diff(_ratfunc(doc, "s"))
     return {"solvable": False} if phi is None else {"solvable": True, "phi": str(phi)}
 
 
 def _solve_mult(doc, args):
+    from .picard import solve_mult_diff
+
     t = solve_mult_diff(_nonzero_ratfunc(doc, "f"))
     return {"solvable": False} if t is None else {"solvable": True, "t": str(t)}
 
 
 def _orbit(doc, args):
+    from .poly import pi_mu
+    from .ratfunc import RatFunc
+    from .rep import cyclic_orbit
+
     mu = _parse_level(_need(doc, "level"))
     r = _nonzero_ratfunc(doc, "r")
     m = _int(doc, "m", "orbit index m")
@@ -297,6 +330,8 @@ def _check_orbit_size(f: RatFunc, k: int) -> None:
     canonical form puts a^k or b^k and a leading coefficient over them,
     which adds at most kh bits.  In all, at most k(2h + D(L + 1)) bits.
     """
+    from .parser import MAX_DEGREE, MAX_POWER_BITS, _log2_height
+
     degree = max(f.num.degree, f.den.degree)
     if k * max(degree, 1) > MAX_DEGREE:
         raise InputError(f"orbit of degree above {MAX_DEGREE}")
@@ -305,6 +340,8 @@ def _check_orbit_size(f: RatFunc, k: int) -> None:
 
 
 def _pic_pair(doc) -> PicInvariant:
+    from .picard import pic_invariant
+
     return pic_invariant(_parse_level(_need(doc, "level")), _nonzero_ratfunc(doc, "r"))
 
 
@@ -313,14 +350,20 @@ def _pic_normalize(doc, args):
 
 
 def _pic_mul(doc, args):
+    from .picard import pic_mul
+
     return _invariant_to_doc(pic_mul(_pic_pair(_need(doc, "first")), _pic_pair(_need(doc, "second"))))
 
 
 def _pic_inv(doc, args):
+    from .picard import pic_inverse
+
     return _invariant_to_doc(pic_inverse(_pic_pair(doc)))
 
 
 def _ext_datum(doc) -> ExtDatum:
+    from .extension import ExtDatum
+
     left = _rep_from_doc(_need(doc, "left"))
     right = _rep_from_doc(_need(doc, "right"))
     B1, T = _matrix(doc, "B1"), _matrix(doc, "T")
@@ -331,15 +374,22 @@ def _ext_datum(doc) -> ExtDatum:
 
 
 def _ext_build(doc, args):
+    from .extension import ext_build
+
     return _rep_to_doc(ext_build(_ext_datum(doc)))
 
 
 def _ext_casimir(doc, args):
+    from .extension import ext_is_casimir
+
     casimir = ext_is_casimir(_ext_datum(doc))
     return {"casimir": casimir, "exponent": 1 if casimir else 2}
 
 
 def _ext_class_eq(doc, args):
+    from .extension import ext_class_equal
+    from .rep import rank1
+
     mu = _parse_level(_need(doc, "level"))
     rho1 = rank1(mu, _nonzero_ratfunc(doc, "r1"))
     rho2 = rank1(mu, _nonzero_ratfunc(doc, "r2"))

@@ -97,3 +97,7 @@ class PiMuIrreducible(Sl2RatError):
 
 class CyclicVectorNotFound(Sl2RatError):
     """Bounded deterministic cyclic-vector search failed (does not occur generically)."""
+
+
+class InputError(Sl2RatError):
+    """Malformed CLI input document."""

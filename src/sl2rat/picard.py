@@ -17,7 +17,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .factor import factor_poly
 from .poly import Poly
 from .ratfunc import RatFunc, as_ratfunc, leading_ratio
-from .rep import casimir_level
 from .shifts import canonical_shift_rep
 
 Scalar = Union[int, Fraction]
@@ -139,6 +138,8 @@ class IsoResult(NamedTuple):
 
 
 def _rank1_data(rep) -> Tuple[Fraction, RatFunc]:
+    from .rep import casimir_level  # rep imports this module
+
     if rep.dim != 1:
         raise ValueError("expected a one-dimensional module")
     mu = casimir_level(rep)

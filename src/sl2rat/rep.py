@@ -48,6 +48,7 @@ from .errors import (
 )
 from .factor import factor_poly
 from .matrix import Mat
+from .picard import pic_invariant
 from .poly import Poly, _of_fractions, mu_roots, pi_mu, poly_lcm
 from .ratfunc import RatFunc, as_ratfunc, pochhammer
 
@@ -473,8 +474,6 @@ def classify_rank1(rep: RationalRep):
     rank-1 polynomial module.  Kinds II and III can both appear when the
     two linear factors are shift-equivalent.
     """
-    from .picard import pic_invariant  # picard imports this module
-
     if rep.dim != 1:
         raise ValueError("classification applies to one-dimensional modules")
     mu = require_casimir(rep)

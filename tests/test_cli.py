@@ -309,3 +309,18 @@ def test_generated_orbit_requests_stay_within_the_bounds():
     assert len(requests) == 50
     for req in requests:
         assert "coefficient" in _orbit(json.loads(req.doc), None)
+
+
+EXT2 = {"dim": 2, "L1": [["1", "0"], ["0", "1"]], "Lm1": [["z^2 - z", "1"], ["0", "z^2 - z"]]}
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["iso"], {"first": EXT2, "second": REP}, "expected a one-dimensional module"),
+    (["iso"], {"first": REP, "second": EXT2}, "expected a one-dimensional module"),
+    (["classify-rank1"], EXT2, "classification applies to one-dimensional modules"),
+], ids=["iso-first", "iso-second", "classify-rank1"])
+def test_module_of_dim_2_is_an_input_error_for_rank1_commands(argv, doc, message):
+    # each used to print {"type":"ValueError"}
+    proc = run_cli(argv, stdin_text=json.dumps(doc))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {"type": "InputError", "message": message}
