@@ -6,8 +6,6 @@ types, shape mismatches) raise the usual ValueError/TypeError.
 """
 from __future__ import annotations
 
-from .poly import format_poly
-
 
 class Sl2RatError(Exception):
     """Base class for all domain errors."""
@@ -62,12 +60,16 @@ class LevelOutsideBaseField(Sl2RatError):
     """A level exists over an extension field only; carries the irreducible factor."""
 
     def __init__(self, factor):
+        from .poly import format_poly  # at call time, so importing the errors loads no polynomial layer
+
         super().__init__(
             f"level is a root of the irreducible factor {format_poly(factor, 't')}"
         )
         self.factor = factor
 
     def payload(self) -> dict:
+        from .poly import format_poly
+
         return {**super().payload(), "factor": format_poly(self.factor, "t")}
 
 

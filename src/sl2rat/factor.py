@@ -372,12 +372,17 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
 
 
 def monic_divisors(p: Poly) -> List[Poly]:
-    """All monic divisors of p over Q, sorted, starting with 1."""
+    """All monic divisors of p over Q, sorted by (degree, coeffs), starting with 1.
+
+    The sort key scales every divisor's integer numerators to one common
+    denominator, which orders them as their `Fraction` coefficients would.
+    """
     _, facs = factor_poly(p)
     divisors = [Poly.one()]
     for fac, mult in facs:
         divisors = [d * fac ** e for d in divisors for e in range(mult + 1)]
-    divisors.sort(key=lambda d: (d.degree, d.coeffs))
+    denom = math.lcm(*(d._denom for d in divisors))
+    divisors.sort(key=lambda d: (d.degree, tuple(c * (denom // d._denom) for c in d._ints)))
     return divisors
 
 

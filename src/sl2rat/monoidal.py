@@ -27,6 +27,7 @@ from .ratfunc import RatFunc
 from .rep import (
     LevelComponent,
     RationalRep,
+    casimir_matrix,
     level_decompose,
     make_rep,
     rank1,
@@ -39,7 +40,7 @@ def unit() -> RationalRep:
 
 
 def _nilpotent_part(comp: LevelComponent) -> Mat:
-    return comp.casimir - Mat.diag([RatFunc.constant(comp.level)] * comp.rep.dim)
+    return casimir_matrix(comp.rep) - Mat.diag([RatFunc.constant(comp.level)] * comp.rep.dim)
 
 
 def _complete(mu: Fraction, B: Mat, M: Mat) -> Tuple[Mat, Mat]:

@@ -11,11 +11,15 @@ The Casimir matrix is C(z) = z(z-1) Id - A(z) B(z-1); its minimal
 polynomial always has constant coefficients, which drives the level
 decomposition, the canonical filtration, and everything downstream.
 
-Modules built from outside data go through `make_rep` (the identity and both
-determinants).  Subquotients are not re-validated: one rref of
-[P | B P(z+1) | A P(z-1)] certifies the restriction to the span of P, and a
+Modules built from outside data go through `make_rep`.  Its `validate` forms
+P = A(z) B(z-1) once for three checks: the commutation residual (in
+dimension 1, B(z) A(z+1) = P(z+1)), invertibility (det P = det A(z) det
+B(z-1)) and C = z(z-1) Id - P, which the validated module carries and
+`casimir_matrix` returns.  Subquotients are not re-validated: one rref of
+[U | B U(z+1) | A U(z-1)] certifies the restriction to the span of U, and a
 quotient or filtration step is a diagonal block of one restriction,
-certified by the zero blocks below it.
+certified by the zero blocks below it.  A module that was not validated
+forms C when asked.
 
 The level split and the filtration skip what a theorem already settles.
 When C is entry by entry mu * Id (the certificate `casimir_level` uses),
@@ -24,13 +28,12 @@ is one step whose quotient is the module itself.  When the minimal
 polynomial is a single (t - mu)^e, (C - mu)^e = 0, so the generalized
 eigenspace is the whole module.  In both cases the kernel and restriction
 of the general path would return the unit basis and the same matrices.
-
-Each `LevelComponent` carries its Casimir matrix, so C is computed once per
-level split and the filtration and the monoidal layer read it from there.
+Likewise the filtration restricts only when its nested basis is not the
+unit basis; on the unit basis the steps are blocks of the module itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -62,6 +65,8 @@ class RationalRep:
     dim: int
     A: Mat
     B: Mat
+    # C(z) = z(z-1) Id - A(z) B(z-1), set by `validate` only; no part of equality, hash or repr
+    casimir: Optional[Mat] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return f"RationalRep(dim={self.dim}, A={self.A}, B={self.B})"
@@ -84,7 +89,6 @@ class LevelComponent:
     exponent: int
     basis: Mat  # ambient-coordinates columns spanning ker(C - level)^exponent
     rep: RationalRep  # the restricted representation
-    casimir: Mat  # the Casimir matrix of rep
 
 
 @dataclass(frozen=True)
@@ -119,17 +123,26 @@ def commutation_residual(A: Mat, B: Mat) -> Mat:
 
 
 def validate(rep: RationalRep) -> RationalRep:
-    """Accept iff the commutation identity holds and both operators invert."""
+    """Accept iff the commutation identity holds and both operators invert.
+
+    P = A(z) B(z-1) serves all three checks: the residual P - B(z) A(z+1) +
+    2z Id, where in dimension 1 B(z) A(z+1) = P(z+1) as 1x1 matrices commute;
+    invertibility, as det P = det A(z) det B(z-1); and the Casimir matrix
+    C = z(z-1) Id - P, which the accepted module carries.
+    """
     A, B = rep.A, rep.B
     if A.nrows != A.ncols or B.nrows != B.ncols or A.nrows != B.nrows:
         raise ValueError("operator matrices must be square and of equal size")
     if A.nrows != rep.dim:
         raise ValueError("declared dimension disagrees with the matrices")
-    residual = commutation_residual(A, B)
+    n = rep.dim
+    P = A * B.shifted(-1)
+    residual = P - (P.shifted(1) if n == 1 else B * A.shifted(1)) + Mat.diag([_TWO_Z] * n)
     if not residual.is_zero():
         raise NotARepresentation(residual)
-    if A.det().is_zero() or B.det().is_zero():
+    if P.det().is_zero():
         raise SingularOperator("lowering/raising operator is singular")
+    object.__setattr__(rep, "casimir", Mat.diag([_ZZ] * n) - P)
     return rep
 
 
@@ -141,7 +154,13 @@ def make_rep(A: Mat, B: Mat) -> RationalRep:
 
 
 def casimir_matrix(rep: RationalRep) -> Mat:
-    """C(z) = z(z-1) Id - A(z) B(z-1); commutes with both operators."""
+    """C(z) = z(z-1) Id - A(z) B(z-1); commutes with both operators.
+
+    A validated module carries C; any other (a restriction, a subquotient, a
+    module built directly) forms it here.
+    """
+    if rep.casimir is not None:
+        return rep.casimir
     return Mat.diag([_ZZ] * rep.dim) - rep.A * rep.B.shifted(-1)
 
 
@@ -187,11 +206,7 @@ def casimir_minpoly(rep: RationalRep) -> Poly:
     Computed as the lcm of Krylov local minimal polynomials; a non-constant
     coefficient raises NonConstantMinpoly (impossible for valid reps).
     """
-    return _minpoly(casimir_matrix(rep))
-
-
-def _minpoly(C: Mat) -> Poly:
-    """`casimir_minpoly` of the module whose Casimir matrix is C."""
+    C = casimir_matrix(rep)
     n = C.nrows
     mp = Poly.one()
     for start in range(n):
@@ -340,16 +355,15 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
     C = casimir_matrix(rep)
     mu = _scalar_level(C)
     if mu is not None:
-        return [LevelComponent(mu, 1, Mat.identity(rep.dim), rep, C)]
-    mp = _minpoly(C)
-    _, facs = factor_poly(mp)
+        return [LevelComponent(mu, 1, Mat.identity(rep.dim), rep)]
+    _, facs = factor_poly(casimir_minpoly(rep))
     for fac, _ in facs:
         if fac.degree > 1:
             raise LevelOutsideBaseField(fac)
     levels = sorted((-fac.coefficient(0), mult) for fac, mult in facs)
     if len(levels) == 1:
         mu, mult = levels[0]
-        return [LevelComponent(mu, mult, Mat.identity(rep.dim), rep, C)]
+        return [LevelComponent(mu, mult, Mat.identity(rep.dim), rep)]
     out = []
     total = 0
     for mu, mult in levels:
@@ -360,7 +374,7 @@ def level_decompose(rep: RationalRep) -> List[LevelComponent]:
         basis_vectors = Mp.kernel()
         basis = Mat.from_columns(basis_vectors)
         sub = restrict_to_invariant_subspace(rep, basis)
-        out.append(LevelComponent(mu, mult, basis, sub, casimir_matrix(sub)))
+        out.append(LevelComponent(mu, mult, basis, sub))
         total += basis.ncols
     if total != rep.dim:
         raise ArithmeticError("component dimensions must sum to the total")
@@ -371,13 +385,17 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
     """V^i = ker(C - mu)^i inside the component; quotients are Casimir of level mu.
 
     An exponent-1 component with C = mu Id is its own single quotient; any
-    other component, consistent or not, takes the general loop.
+    other component, consistent or not, takes the general loop.  When the
+    nested basis comes out as the unit basis (ker(C - mu) = span(e_1) on an
+    extension with T != 0), the restriction to it would return the
+    component's own matrices, so the steps are blocks of the component.
     """
     rep = comp.rep
     mu = comp.level
-    if comp.exponent == 1 and _scalar_level(comp.casimir) == mu:
+    C = casimir_matrix(rep)
+    if comp.exponent == 1 and _scalar_level(C) == mu:
         return Filtration(mu, (FiltrationStep(Mat.identity(rep.dim), rep),))
-    N = comp.casimir - Mat.diag([RatFunc.constant(mu)] * rep.dim)
+    N = C - Mat.diag([RatFunc.constant(mu)] * rep.dim)
     cols: List[Tuple[RatFunc, ...]] = []
     dims = [0]  # dim V^i
     Np = Mat.identity(rep.dim)
@@ -395,7 +413,9 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
         dims.append(len(cols))
     # the bases are nested, so V^i / V^(i-1) is one diagonal block of one restriction;
     # an exponent below 1 makes no step and fails the exhaust check below
-    sub = restrict_to_invariant_subspace(rep, Mat.from_columns(cols)) if cols else rep
+    sub = rep
+    if cols and cols != Mat.identity(rep.dim).columns():
+        sub = restrict_to_invariant_subspace(rep, Mat.from_columns(cols))
     steps: List[FiltrationStep] = []
     for lo, hi in zip(dims, dims[1:]):
         quotient = _diagonal_block(sub, lo, hi)

@@ -4,6 +4,11 @@ Run from the repository root:  python3 tests/make_goldens.py
 Inputs land in tests/data/, expected outputs in tests/goldens/.  The test
 suite compares CLI output byte-for-byte against these files, so regenerate
 only when an output format change is intended, and review the diff.
+
+Each request runs in a fresh `python -m sl2rat.cli` with `src` first on its
+PYTHONPATH.  Every output is collected before any is written: when a request
+prints a traceback or fails to import the package, nothing is written and
+the script exits with status 1.
 """
 from __future__ import annotations
 
@@ -13,10 +18,9 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DATA = os.path.join(HERE, "data")
-GOLD = os.path.join(HERE, "goldens")
+SRC = os.path.normpath(os.path.join(HERE, os.pardir, "src"))
 
-sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+sys.path.insert(0, SRC)
 
 from sl2rat.cli import _rep_to_doc  # noqa: E402
 from sl2rat.extension import ExtDatum, ext_build  # noqa: E402
@@ -77,28 +81,45 @@ CASES = [
 ]
 
 
-def main() -> None:
-    os.makedirs(DATA, exist_ok=True)
-    os.makedirs(GOLD, exist_ok=True)
-    manifest = []
+def _run(argv, text: str) -> subprocess.CompletedProcess:
+    """One CLI request in a fresh process, the input document's text on stdin."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "sl2rat.cli", *argv],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def main(root: str = HERE) -> int:
+    """Write data/ and goldens/ under `root`; 1, with nothing written, when a request crashed."""
+    outputs = []
     for name, argv, doc in CASES:
-        in_path = os.path.join(DATA, f"{name}.json")
-        with open(in_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "sl2rat.cli", *argv, "--input", in_path],
-            capture_output=True,
-            text=True,
-        )
-        with open(os.path.join(GOLD, f"{name}.out"), "w", encoding="utf-8") as fh:
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        proc = _run(argv, text)
+        if "Traceback" in proc.stderr or "ModuleNotFoundError" in proc.stderr:
+            print(f"{name}: the request crashed; no file written\n{proc.stderr}", file=sys.stderr)
+            return 1
+        outputs.append((name, argv, text, proc))
+    data, gold = os.path.join(root, "data"), os.path.join(root, "goldens")
+    os.makedirs(data, exist_ok=True)
+    os.makedirs(gold, exist_ok=True)
+    manifest = []
+    for name, argv, text, proc in outputs:
+        with open(os.path.join(data, f"{name}.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(os.path.join(gold, f"{name}.out"), "w", encoding="utf-8") as fh:
             fh.write(proc.stdout)
         manifest.append({"name": name, "argv": argv, "exit": proc.returncode})
         print(f"{name}: exit={proc.returncode}")
-    with open(os.path.join(GOLD, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(gold, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

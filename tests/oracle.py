@@ -7,13 +7,19 @@ slack 8) and decide existence by solving one linear system over Q in the
 numerator coefficients.  No telescoping, no pairing logic: a completely
 independent decision procedure, complete on inputs whose per-class offset
 span stays within the window (the test family keeps offsets in [-2, 2]).
+
+`reference_search` is the divisor-pair search without pruning: it
+multiplies out the shifted products for every pair, reads chi off them,
+sorts the divisors by their `Fraction` coefficients and solves over `Mat`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from sl2rat.factor import factor_poly
+from sl2rat.factor import factor_poly, rational_roots
+from sl2rat.hyper import poly_degree_candidates
+from sl2rat.matrix import Mat
 from sl2rat.poly import Poly
 from sl2rat.ratfunc import RatFunc
 from sl2rat.shifts import canonical_shift_rep
@@ -145,3 +151,74 @@ def oracle_mult(f: RatFunc) -> bool:
     nrows = max(b.degree for b in basis) + 1
     rows = [[b.coefficient(r) for b in basis] for r in range(nrows)]
     return _nonzero_kernel_vector(rows) is not None
+
+
+# -- the hypergeometric search without pruning ------------------------------------
+
+
+def _reference_monic_divisors(p: Poly) -> List[Poly]:
+    _, facs = factor_poly(p)
+    divisors = [Poly.one()]
+    for fac, mult in facs:
+        divisors = [d * fac ** e for d in divisors for e in range(mult + 1)]
+    divisors.sort(key=lambda d: (d.degree, d.coeffs))
+    return divisors
+
+
+def _reference_poly_solutions(coeffs: Sequence[Poly], candidates: List[int]) -> List[Poly]:
+    if not candidates:
+        return []
+    dmax = max(candidates)
+    b = max(p.degree for p in coeffs)
+    z = Poly.variable()
+    images = []
+    for e in range(dmax + 1):
+        img = Poly.zero()
+        for i, p in enumerate(coeffs):
+            img = img + p * (z + i) ** e
+        images.append(img)
+    rows = [[RatFunc.constant(images[e].coefficient(r)) for e in range(dmax + 1)] for r in range(b + dmax + 1)]
+    out = [Poly([entry.constant_value() for entry in v]) for v in Mat(rows).kernel()]
+    return [p for p in out if not p.is_zero()]
+
+
+def reference_search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
+    """`hyper._search` as it was before pruning: every divisor pair multiplied out."""
+    m = len(coeffs) - 1
+    a0, am = coeffs[0], coeffs[m]
+    Bs = _reference_monic_divisors(am.shifted(-(m - 1)))
+    for A in _reference_monic_divisors(a0):
+        for B in Bs:
+            q: List[Poly] = []
+            for i in range(m + 1):
+                t = coeffs[i]
+                for j in range(0, i):
+                    t = t * A.shifted(j)
+                for j in range(i, m):
+                    t = t * B.shifted(j)
+                q.append(t)
+            D = max(p.degree for p in q)
+            chi = Poly.zero()
+            for i, p in enumerate(q):
+                if p.degree == D:
+                    chi = chi + Poly.monomial(p.lead, i)
+            for c in [r for r in rational_roots(chi) if r != 0]:
+                scaled = [Poly.constant(c ** i) * q[i] for i in range(m + 1)]
+                candidates = poly_degree_candidates(scaled)
+                cap = max(candidates) if candidates else -1
+                yield ("probe", None, cap)
+                for C in _reference_poly_solutions(scaled, candidates):
+                    xi = RatFunc.constant(c) * RatFunc(A, B) * RatFunc(C.shifted(1)) / RatFunc(C)
+                    yield ("found", xi, cap)
+
+
+def search_outcome(search, coeffs: Sequence[Poly]) -> Tuple[Optional[RatFunc], int, int]:
+    """(first certificate or None, largest degree cap probed, number of probes) of a `_search`-like generator."""
+    max_cap, probes = -1, 0
+    for kind, xi, cap in search(coeffs):
+        max_cap = max(max_cap, cap)
+        if kind == "probe":
+            probes += 1
+        else:
+            return xi, max_cap, probes
+    return None, max_cap, probes

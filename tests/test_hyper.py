@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import sl2rat.hyper as hyper
+from oracle import reference_search, search_outcome
 from sl2rat.factor import factor_poly
 from sl2rat.hyper import _search, hyper_search, poly_degree_candidates, poly_solutions
 from sl2rat.poly import Poly
@@ -198,3 +199,40 @@ def test_degree_candidates_match_the_indicial_search(monkeypatch):
         assert poly_degree_candidates(coeffs) == want, coeffs
         runs += run > 0
     assert runs >= 24  # r (E - 1)^k has the degrees below k - deg r as a run
+
+
+def _linear_product(rng, count):
+    out = Poly.constant(rng.choice([1, -1, 2, Fraction(1, 2), -3]))
+    for _ in range(count):
+        out = out * (Z + Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2])))
+    return out
+
+
+def test_pruned_search_probes_as_the_unpruned_reference():
+    rng = random.Random(97)
+    operators = []
+    for _ in range(60):
+        order = rng.randint(1, 3)
+        coeffs = [_linear_product(rng, rng.randint(0, 3)) for _ in range(order + 1)]
+        if order > 1 and rng.random() < 0.4:
+            coeffs[rng.randint(1, order - 1)] = Poly.zero()
+        operators.append(coeffs)
+    for _ in range(20):
+        # (X - w)(X - u/v) with v(z) v(z+1) cleared: a certificate u/v exists
+        u, v = _linear_product(rng, rng.randint(1, 2)), _linear_product(rng, rng.randint(0, 2))
+        w = Poly.constant(rng.choice([1, 2, -1]))
+        operators.append([w * u * v.shifted(1), -(u.shifted(1) * v + w * v * v.shifted(1)), v * v.shifted(1)])
+    operators += [[-Z, Poly.zero(), ONE], [Poly.constant(-1), Poly.constant(-1), ONE]]
+    found = zero_middle = rootless = 0
+    for coeffs in operators:
+        want = search_outcome(reference_search, coeffs)
+        assert search_outcome(_search, coeffs) == want, coeffs
+        assert hyper_search(coeffs) == want[:2]
+        found += want[0] is not None
+        m = len(coeffs) - 1
+        zero_middle += any(p.is_zero() for p in coeffs[1:m])
+        terms = [(i, p.degree, p.lead) for i, p in enumerate(coeffs) if not p.is_zero()]
+        degrees = {(A.degree, B.degree) for A in hyper.monic_divisors(coeffs[0])
+                   for B in hyper.monic_divisors(coeffs[m].shifted(-(m - 1)))}
+        rootless += any(not hyper._chi_roots(terms, m, *key) for key in degrees)
+    assert found >= 20 and zero_middle >= 10 and rootless >= 20, (found, zero_middle, rootless)

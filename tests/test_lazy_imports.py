@@ -89,7 +89,7 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_importing_the_cli_loads_no_computing_layer():
     loaded = _loaded_after("import sl2rat.cli")
-    assert loaded.isdisjoint(HEAVY | {"picard"}), loaded
+    assert loaded.isdisjoint(HEAVY | {"picard", "poly"}), loaded
 
 
 def test_pic_normalize_loads_neither_modules_nor_matrices():

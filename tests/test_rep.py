@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from sl2rat.rep import (
     casimir_matrix,
     casimir_minpoly,
     classify_rank1,
+    commutation_residual,
     conjugate,
     cyclic_orbit,
     direct_sum,
@@ -53,6 +55,7 @@ from sl2rat.rep import (
 )
 
 Z = RatFunc.variable()
+ZZ = RatFunc(Poly((0, -1, 1)))  # z(z - 1)
 
 
 def t1_extension():
@@ -300,8 +303,8 @@ def _devissage_corpus():
 def test_devissage_subquotients_pass_full_validation(monkeypatch):
     """Subquotients are built from their closure certificate; full validate agrees.
 
-    The level split also hands each component its Casimir matrix, which must
-    be the component's own.
+    The Casimir matrix the filtration reads off each component, carried or
+    formed, must be the component's own.
     """
     built = []
     components = []
@@ -335,7 +338,8 @@ def test_devissage_subquotients_pass_full_validation(monkeypatch):
         validate(sub)
     assert len(components) >= len(modules)
     for comp in components:
-        assert comp.casimir == casimir_matrix(comp.rep)
+        rep = comp.rep
+        assert casimir_matrix(rep) == Mat.diag([ZZ] * rep.dim) - rep.A * rep.B.shifted(-1)
 
 
 def _reference_level_decompose(rep):
@@ -350,7 +354,7 @@ def _reference_level_decompose(rep):
             Me = Me * M
         basis = Mat.from_columns(Me.kernel())
         sub = restrict_to_invariant_subspace(rep, basis)
-        out.append(LevelComponent(mu, e, basis, sub, casimir_matrix(sub)))
+        out.append(LevelComponent(mu, e, basis, sub))
     return out
 
 
@@ -442,7 +446,7 @@ def test_filtration_of_inconsistent_exponent_one_component_raises():
     # exponent 0 makes no step at all
     rep = t1_extension()
     for exponent in (1, 0):
-        comp = LevelComponent(Fraction(0), exponent, Mat.identity(2), rep, casimir_matrix(rep))
+        comp = LevelComponent(Fraction(0), exponent, Mat.identity(2), rep)
         with pytest.raises(ArithmeticError, match="filtration must exhaust the component"):
             canonical_filtration(comp)
 
@@ -452,7 +456,7 @@ def test_filtration_past_the_nilpotency_index_raises():
     # step past that index adds no column
     cases = [(rank1(0, Z), 2), (rank1(0, Z), 3), (t1_extension(), 3)]
     for rep, exponent in cases:
-        comp = LevelComponent(Fraction(0), exponent, Mat.identity(rep.dim), rep, casimir_matrix(rep))
+        comp = LevelComponent(Fraction(0), exponent, Mat.identity(rep.dim), rep)
         with pytest.raises(ArithmeticError, match="filtration step must add rank"):
             canonical_filtration(comp)
 
@@ -462,6 +466,92 @@ def test_filtration_of_a_component_at_another_level_raises_level_mismatch():
     # ker(C - 5) = 0 and no filtration step exists
     for exponent in (1, 2):
         for rep in (rank1(0, Z), t1_extension()):
-            comp = LevelComponent(Fraction(5), exponent, Mat.identity(rep.dim), rep, casimir_matrix(rep))
+            comp = LevelComponent(Fraction(5), exponent, Mat.identity(rep.dim), rep)
             with pytest.raises(LevelMismatch):
                 canonical_filtration(comp)
+
+
+# -- the Casimir matrix a validated module carries ---------------------------------
+
+
+def test_validated_module_carries_its_casimir_and_a_direct_one_forms_the_same():
+    for rep in build_corpus(seed=20240, count=120):
+        C = Mat.diag([ZZ] * rep.dim) - rep.A * rep.B.shifted(-1)
+        assert rep.casimir == C
+        direct = RationalRep(rep.dim, rep.A, rep.B)
+        assert direct.casimir is None
+        assert casimir_matrix(direct) == C
+        assert direct.casimir is None  # formed on demand, never memoised
+
+
+def test_carried_casimir_changes_no_equality_hash_repr_or_serialization():
+    for rep in build_corpus(seed=20241, count=40):
+        direct = RationalRep(rep.dim, rep.A, rep.B)
+        assert rep.casimir is not None and direct.casimir is None
+        assert rep == direct and hash(rep) == hash(direct)
+        assert repr(rep) == repr(direct) and str(rep) == str(direct)
+        assert k0.serialize_rep(rep) == k0.serialize_rep(direct)
+        assert dataclasses.replace(rep, B=rep.B).casimir is None
+
+
+def test_rank1_validate_decides_as_the_residual_and_both_determinants():
+    rng = random.Random(83)
+    pairs = []
+    for _ in range(150):
+        mu = rng.choice([Fraction(0), Fraction(1), Fraction(-1, 4), Fraction(2)])
+        r = random_nonzero_ratfunc(rng)
+        a = RatFunc(pi_mu(mu)) / r.shifted(-1)
+        roll = rng.random()
+        if roll < 0.15:
+            a = RatFunc.zero()  # singular lowering operator
+        elif roll < 0.3:
+            r = RatFunc.zero()  # singular raising operator
+        elif roll < 0.5:
+            a = a * random_nonzero_ratfunc(rng)  # breaks the identity unless the factor is 1
+        pairs.append((Mat([[a]]), Mat([[r]])))
+    outcomes = set()
+    for A, B in pairs:
+        if not commutation_residual(A, B).is_zero():
+            want = ("NotARepresentation", commutation_residual(A, B))
+        elif A.det().is_zero() or B.det().is_zero():
+            want = ("SingularOperator", None)
+        else:
+            want = ("ok", None)
+        try:
+            validate(RationalRep(1, A, B))
+            got = ("ok", None)
+        except NotARepresentation as exc:
+            got = ("NotARepresentation", exc.residual)
+        except SingularOperator:
+            got = ("SingularOperator", None)
+        assert got == want, (A, B)
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "NotARepresentation"}  # a singular 1x1 pair never satisfies the identity
+
+
+def test_unit_basis_filtration_equals_the_restriction_path(monkeypatch):
+    import sl2rat.rep as rep_module
+
+    rng = random.Random(53)
+    data = [d for d in (random_rank1_extension(rng) for _ in range(60)) if not d.T.is_zero()]
+    assert len(data) >= 10
+    calls = []
+    original = rep_module.restrict_to_invariant_subspace
+
+    def recording(rep, basis):
+        calls.append(basis)
+        return original(rep, basis)
+
+    monkeypatch.setattr(rep_module, "restrict_to_invariant_subspace", recording)
+    for d in data:
+        W = ext_build(d)
+        (comp,) = level_decompose(W)
+        assert comp.exponent == 2
+        filt = canonical_filtration(comp)
+        # ker(C - mu) = span(e_1), so the nested basis is the unit basis
+        assert [step.basis for step in filt.steps] == [Mat([[1], [0]]), Mat.identity(2)]
+        sub = original(W, Mat.identity(2))
+        assert (sub.A, sub.B) == (W.A, W.B)
+        blocks = [rep_module._diagonal_block(sub, 0, 1), rep_module._diagonal_block(sub, 1, 2)]
+        assert [step.quotient for step in filt.steps] == blocks
+    assert calls == []
