@@ -7,7 +7,10 @@ lowering-side block is forced,
     Bm1(z) = [T(z) - A'(z) B1(z-1)] B''(z-1)^{-1},
 
 and validity of the datum is certified by validating the assembled module
-(the one check nothing can argue with).  For same-level Casimir data the
+(the one check nothing can argue with).  When W'' is Casimir of level nu,
+A''(z) B''(z-1) = pi_nu(z) Id, so B''(z-1)^{-1} = A''(z) / pi_nu(z) with no
+elimination; its level is read off the Casimir matrix a validated W''
+carries.  For same-level Casimir data the
 module is again Casimir exactly when T = 0; otherwise the exponent is 2.
 """
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Union
 from .errors import InvalidExtensionData, LevelMismatch, LevelOutsideBaseField, NotARepresentation
 from .matrix import Mat
 from .picard import iso_rank1
-from .poly import Poly
+from .poly import Poly, pi_mu
 from .ratfunc import RatFunc, as_ratfunc, partial_fractions
 from .rep import (
     RationalRep,
@@ -52,7 +55,9 @@ class ExtDatum:
 def ext_build(datum: ExtDatum) -> RationalRep:
     """Assemble the block-triangular module; InvalidExtensionData when it fails."""
     lp, rq = datum.left, datum.right
-    Bm1 = (datum.T - lp.A * datum.B1.shifted(-1)) * rq.B.shifted(-1).inverse()
+    nu = casimir_level(rq)
+    inv = rq.B.shifted(-1).inverse() if nu is None else (RatFunc.one() / RatFunc(pi_mu(nu))) * rq.A
+    Bm1 = (datum.T - lp.A * datum.B1.shifted(-1)) * inv
     try:
         return make_rep(_upper(lp.A, Bm1, rq.A), _upper(lp.B, datum.B1, rq.B))
     except NotARepresentation as exc:

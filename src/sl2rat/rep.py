@@ -413,13 +413,15 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
         dims.append(len(cols))
     # the bases are nested, so V^i / V^(i-1) is one diagonal block of one restriction;
     # an exponent below 1 makes no step and fails the exhaust check below
-    sub = rep
+    sub, C_sub = rep, C
     if cols and cols != Mat.identity(rep.dim).columns():
         sub = restrict_to_invariant_subspace(rep, Mat.from_columns(cols))
+        C_sub = casimir_matrix(sub)
     steps: List[FiltrationStep] = []
     for lo, hi in zip(dims, dims[1:]):
         quotient = _diagonal_block(sub, lo, hi)
-        if casimir_level(quotient) != mu:
+        # both operators are block upper triangular, so the quotient's Casimir matrix is this diagonal block of C_sub
+        if _scalar_level(C_sub.submatrix(range(lo, hi), range(lo, hi))) != mu:
             raise ArithmeticError("filtration quotient must be Casimir of the component level")
         if steps and quotient.dim > steps[-1].quotient.dim:
             raise AssertionError("filtration quotient dimensions must be non-increasing")

@@ -110,12 +110,17 @@ def _block_datum(rng):
 
 
 def test_ext_build_rejects_exactly_the_data_whose_assembled_module_fails():
-    """ext_build against W assembled entry by entry and validated, on valid and corrupted data."""
+    """ext_build against W assembled entry by entry and validated, on valid and corrupted data.
+
+    The reference inverts B''(z-1); ext_build reads it off A'' when W'' is
+    Casimir, and the data hold Casimir and non-Casimir quotients.
+    """
     rng = random.Random(55)
-    shapes, outcomes = set(), {True: 0, False: 0}
+    shapes, outcomes, casimir_right = set(), {True: 0, False: 0}, set()
     for _ in range(200):
         d = _block_datum(rng)
         shapes.add((d.left.dim, d.right.dim))
+        casimir_right.add(casimir_level(d.right) is not None)
         w = ext_build(d)
         ref = _assembled(d)
         assert (w.A, w.B) == (ref.A, ref.B)
@@ -136,6 +141,7 @@ def test_ext_build_rejects_exactly_the_data_whose_assembled_module_fails():
         assert accepts == reference_accepts
         outcomes[accepts] += 1
     assert {(1, 1), (2, 1), (1, 2), (2, 2)} <= shapes
+    assert casimir_right == {True, False}
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
