@@ -140,9 +140,7 @@ def solve_add_diff(s) -> Optional[RatFunc]:
         eta = a.shifted(u)  # a(z) = eta(z - u), so eta(w) = a(w + u)
         groups.setdefault((rep, j), {})
         groups[(rep, j)][u] = groups[(rep, j)].get(u, Poly.zero()) + eta
-    for (rep, j), per_offset in sorted(
-        groups.items(), key=lambda kv: (kv[0][0].degree, kv[0][0].coeffs, kv[0][1])
-    ):
+    for (rep, j), per_offset in sorted(groups.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
         total = Poly.zero()
         for eta in per_offset.values():
             total = total + eta

@@ -354,7 +354,7 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
     """Factor over Q: returns (leading coefficient, [(monic irreducible, multiplicity)]).
 
     The product of factors times the lead reconstructs p exactly.  Factors
-    are sorted by (degree, coefficient tuple).
+    are in `Poly.sort_key` order.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -367,12 +367,12 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
             out += [(fac, e * mult) for fac, e in _closed_form(part)]
         else:
             out += [(_raw(fac, 1).monic(), mult) for fac in _factor_squarefree_int(_to_int_primitive(part))]
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    out.sort(key=lambda fm: fm[0].sort_key())
     return lead, out
 
 
 def monic_divisors(p: Poly) -> List[Poly]:
-    """All monic divisors of p over Q, sorted by (degree, coeffs), starting with 1.
+    """All monic divisors of p over Q in `Poly.sort_key` order, starting with 1.
 
     The sort key scales every divisor's integer numerators to one common
     denominator, which orders them as their `Fraction` coefficients would.

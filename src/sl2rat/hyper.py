@@ -3,7 +3,8 @@
 `poly_solutions` finds the full space of polynomial solutions of
 sum_i p_i(z) y(z+i) = 0 through an exact degree bound (the nonnegative
 integer roots of the leading coefficient of L(z^d) as a polynomial in d,
-read off the operator in the difference basis) plus linear algebra.
+read off the operator in the difference basis) plus a kernel over Q: the
+`Fraction` rows go through `matrix`'s row reduction, the one `Mat` uses.
 
 `hyper_search` finds a rational certificate xi with
 
@@ -32,6 +33,7 @@ from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .factor import monic_divisors, rational_roots
+from .matrix import _back_reduce, _forward, _kernel_basis
 from .poly import Poly, _of_fractions, _raw
 from .ratfunc import RatFunc
 
@@ -82,40 +84,9 @@ def _poly_solutions(coeffs: Sequence[Poly], candidates: List[int]) -> List[Poly]
             img = img + p * _raw((i, 1), 1) ** e
         images.append(img)
     rows = [[images[e].coefficient(r) for e in range(dmax + 1)] for r in range(b + dmax + 1)]
-    return [_of_fractions(v) for v in _kernel(rows, dmax + 1)]
-
-
-def _kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """`Mat.kernel` over Q: the reduced row echelon form, then one vector per free column.
-
-    Pivots are chosen as `Mat._echelon` chooses them, and the reduced form
-    is unique anyway, so the basis is the one `Mat.kernel` returns.
-    """
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        inv = 1 / rows[r][c]
-        pivot_row = rows[r] = [e * inv for e in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [a - f * p if p else a for a, p in zip(row, pivot_row)]
-        pivots.append(c)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
+    pivots, _ = _forward(rows, dmax + 1)
+    _back_reduce(rows, pivots)
+    return [_of_fractions(v) for v in _kernel_basis(rows, pivots, dmax + 1, Fraction(0), Fraction(1))]
 
 
 def _chi_roots(terms: Sequence[Tuple[int, int, Fraction]], m: int, deg_a: int, deg_b: int) -> List[Fraction]:

@@ -1,11 +1,12 @@
 """Exact matrices over Q(z): arithmetic, elimination, kernels, solving.
 
-All elimination is one forward pass, `Mat._echelon`: first-nonzero pivots
-clear the rows below them, and the pivot product signed by the row swaps is
-`det`.  `rref` back-reduces from the last pivot up; `rank`, `kernel`, `solve`
-and `inverse` (a solve against the identity) read the reduced form.  Pivots
-are chosen deterministically, so results are reproducible; everything is
-plain and exact.
+The library's one exact row reduction lives here, over any field whose
+elements are falsy exactly at zero: `RatFunc` for `Mat`, `Fraction` for
+`hyper`'s polynomial solutions.  `_forward` lets first-nonzero pivots clear
+the rows below them and reports the parity of its row swaps, `_back_reduce`
+reduces from the last pivot up, and `_kernel_basis` reads one vector per free
+column.  `det` is the signed pivot product of `_forward`; `rref` is both
+passes, and `rank`, `kernel`, `solve` and `inverse` read it.  All exact.
 """
 from __future__ import annotations
 
@@ -192,41 +193,12 @@ class Mat:
 
     # -- elimination ---------------------------------------------------------------
 
-    def _echelon(self) -> Tuple[List[List[RatFunc]], Tuple[int, ...], RatFunc]:
-        """Echelon rows, pivot columns, and the pivot product negated once per row swap."""
-        rows = self.rows_list()
-        nr = self.nrows
-        pivots: List[int] = []
-        product = RatFunc.one()
-        for c in range(self.ncols):
-            r = len(pivots)
-            if r == nr:
-                break
-            found = next((i for i in range(r, nr) if not rows[i][c].is_zero()), None)
-            if found is None:
-                continue
-            if found != r:
-                rows[r], rows[found] = rows[found], rows[r]
-                product = -product
-            pivot = rows[r][c]
-            product = product * pivot
-            for i in range(r + 1, nr):
-                if not rows[i][c].is_zero():
-                    rows[i][c:] = _minus_multiple(rows[i][c:], rows[i][c] / pivot, rows[r][c:])
-            pivots.append(c)
-        return rows, tuple(pivots), product
-
     def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
-        """Reduced row echelon form: the forward pass, then back-reduction from the last pivot."""
-        rows, pivots, _ = self._echelon()
-        for r in reversed(range(len(pivots))):
-            c = pivots[r]
-            inv = rows[r][c].inverse()
-            rows[r][c:] = [e * inv for e in rows[r][c:]]
-            for i in range(r):
-                if not rows[i][c].is_zero():
-                    rows[i][c:] = _minus_multiple(rows[i][c:], rows[i][c], rows[r][c:])
-        return Mat._of(rows), pivots
+        """Reduced row echelon form and its pivot columns."""
+        rows = self.rows_list()
+        pivots, _ = _forward(rows, self.ncols)
+        _back_reduce(rows, pivots)
+        return Mat._of(rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -234,16 +206,7 @@ class Mat:
     def kernel(self) -> List[Tuple[RatFunc, ...]]:
         """Basis of the right kernel, exact; one vector per free column."""
         R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [RatFunc.zero()] * self.ncols
-            v[fc] = RatFunc.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return _kernel_basis(R.data, pivots, self.ncols, RatFunc.zero(), RatFunc.one())
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
         """Particular solution X of self @ X = rhs, or None when inconsistent.
@@ -274,8 +237,14 @@ class Mat:
     def det(self) -> RatFunc:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, product = self._echelon()
-        return product if len(pivots) == self.ncols else RatFunc.zero()
+        rows = self.rows_list()
+        pivots, odd_swaps = _forward(rows, self.ncols)
+        if len(pivots) < self.ncols:
+            return RatFunc.zero()
+        product = rows[0][0]
+        for i in range(1, self.nrows):
+            product = product * rows[i][i]
+        return -product if odd_swaps else product
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and not self.det().is_zero()
@@ -300,9 +269,58 @@ def _dot(row: Sequence[RatFunc], col: Sequence[RatFunc]) -> RatFunc:
     return acc
 
 
-def _minus_multiple(row: Sequence[RatFunc], f: RatFunc, pivot_row: Sequence[RatFunc]) -> List[RatFunc]:
+def _forward(rows: List[list], ncols: int) -> Tuple[List[int], bool]:
+    """Echelon form in place; the pivot columns and whether the row swaps were odd."""
+    nr = len(rows)
+    pivots: List[int] = []
+    odd_swaps = False
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        found = next((i for i in range(r, nr) if rows[i][c]), None)
+        if found is None:
+            continue
+        if found != r:
+            rows[r], rows[found] = rows[found], rows[r]
+            odd_swaps = not odd_swaps
+        pivot_row = rows[r][c:]
+        pivot = pivot_row[0]
+        for i in range(r + 1, nr):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = _minus_multiple(rows[i][c:], f / pivot, pivot_row)
+        pivots.append(c)
+    return pivots, odd_swaps
+
+
+def _back_reduce(rows: List[list], pivots: Sequence[int]) -> None:
+    """Reduce echelon rows in place, from the last pivot up: pivots 1, zeros above them."""
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        pivot = rows[r][c]
+        pivot_row = rows[r][c:] = [e / pivot for e in rows[r][c:]]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = _minus_multiple(rows[i][c:], f, pivot_row)
+
+
+def _kernel_basis(rows: Sequence[Sequence], pivots: Sequence[int], ncols: int, zero, one) -> List[tuple]:
+    """The right kernel of reduced rows: one vector per free column, `one` there."""
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _minus_multiple(row: Sequence, f, pivot_row: Sequence) -> list:
     """row - f * pivot_row, leaving the entries over zeros of pivot_row untouched."""
-    return [a if b.is_zero() else a - f * b for a, b in zip(row, pivot_row)]
+    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
 
 
 def mat_from_strings(rows: Sequence[Sequence[str]]) -> Mat:

@@ -24,11 +24,6 @@ Scalar = Union[int, Fraction]
 ClassItem = Tuple[Poly, int]
 
 
-def _class_sort_key(item: ClassItem):
-    poly, _ = item
-    return (poly.degree, poly.coeffs)
-
-
 @dataclass(frozen=True)
 class PicInvariant:
     """(level, leading ratio, net shift-class multiplicities), all exact."""
@@ -44,7 +39,7 @@ class PicInvariant:
 
 def _canonical_classes(counts: Dict[Poly, int]) -> Tuple[ClassItem, ...]:
     items = [(p, m) for p, m in counts.items() if m != 0]
-    items.sort(key=_class_sort_key)
+    items.sort(key=lambda item: item[0].sort_key())
     return tuple(items)
 
 
@@ -112,7 +107,7 @@ def solve_mult_diff(f) -> Optional[RatFunc]:
     table = _offset_multisets(f)
     num = Poly.one()
     den = Poly.one()
-    for rep in sorted(table, key=lambda p: (p.degree, p.coeffs)):
+    for rep in sorted(table, key=Poly.sort_key):
         zeros, poles = table[rep]
         if len(zeros) != len(poles):
             return None

@@ -91,6 +91,10 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._ints[-1], self._denom)
 
+    def sort_key(self) -> Tuple[int, Tuple[Fraction, ...]]:
+        """The canonical order of polynomials: by degree, then by ascending coefficients."""
+        return self.degree, self.coeffs
+
     def is_zero(self) -> bool:
         return not self._ints
 

@@ -116,7 +116,7 @@ class RatFunc:
         return hash(("RatFunc", self.num, self.den))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num)
 
     # -- field operations --------------------------------------------------
 
@@ -355,5 +355,5 @@ def partial_fractions(f: RatFunc) -> Tuple[Poly, List[Tuple[Poly, int, Poly]]]:
             if not a.is_zero():
                 pieces.append((q, j, a))
             j -= 1
-    pieces.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
+    pieces.sort(key=lambda t: (t[0].sort_key(), t[1]))
     return poly_part, pieces

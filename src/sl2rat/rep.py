@@ -470,12 +470,16 @@ def poly_rank1(kind: str, mu: Scalar, gamma: Scalar) -> PolynomialRep:
     return rep
 
 
-def validate_polynomial(rep: PolynomialRep) -> PolynomialRep:
+def _require_polynomial_entries(rep: PolynomialRep) -> None:
     for mat in (rep.A, rep.B):
         for row in mat.data:
             for e in row:
                 if not e.is_polynomial():
                     raise NotPolynomial(f"entry {e} is not polynomial")
+
+
+def validate_polynomial(rep: PolynomialRep) -> PolynomialRep:
+    _require_polynomial_entries(rep)
     residual = commutation_residual(rep.A, rep.B)
     if not residual.is_zero():
         raise NotARepresentation(residual)
@@ -483,8 +487,8 @@ def validate_polynomial(rep: PolynomialRep) -> PolynomialRep:
 
 
 def rationalize(rep: PolynomialRep) -> RationalRep:
-    """Localize to the function field: same matrices, revalidated."""
-    validate_polynomial(rep)
+    """Localize to the function field: same matrices, validated once by `make_rep`."""
+    _require_polynomial_entries(rep)
     return make_rep(rep.A, rep.B)
 
 

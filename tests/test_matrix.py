@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from sl2rat.errors import SingularMatrix
-from sl2rat.matrix import Mat, mat_from_strings
+from sl2rat.matrix import Mat, _back_reduce, _forward, _kernel_basis, mat_from_strings
 from sl2rat.ratfunc import RatFunc
 
 Z = RatFunc.variable()
@@ -140,3 +141,31 @@ def test_rref_matches_sympy_on_rank_deficient_matrices():
             for j in range(m):
                 assert sympy.cancel(S[i, j] - to_sympy(R[i, j])) == 0
     assert max(ranks) >= 3
+
+    # the same reduction on Fraction rows, the field `hyper` solves over
+    def frac_mat(n, m):
+        return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.75 else Fraction(0)
+                 for _ in range(m)] for _ in range(n)]
+
+    def product(a, b):
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+    cases = [[[Fraction(0)] * 4 for _ in range(3)], [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]]
+    for _ in range(12):
+        n, m = rng.randint(2, 5), rng.randint(3, 6)
+        cases.append(product(frac_mat(n, min(n, m) - 1), frac_mat(min(n, m) - 1, m)))
+    ranks = []
+    for a in cases:
+        n, m = len(a), len(a[0])
+        rows = [list(r) for r in a]
+        pivots, _ = _forward(rows, m)
+        _back_reduce(rows, pivots)
+        ranks.append(len(pivots))
+        S, spivots = sympy.Matrix(a).rref()
+        assert tuple(pivots) == spivots
+        assert all(sympy.Rational(rows[i][j]) == S[i, j] for i in range(n) for j in range(m))
+        kernel = _kernel_basis(rows, pivots, m, Fraction(0), Fraction(1))
+        assert len(kernel) == m - len(pivots)
+        for v in kernel:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+    assert ranks[:2] == [0, 3] and max(ranks[2:]) >= 3

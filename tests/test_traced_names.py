@@ -11,8 +11,11 @@ import os
 import random
 
 from helpers import random_rank1_extension
-from sl2rat import k0
+from sl2rat import hyper, k0
 from sl2rat.extension import ext_build
+from sl2rat.matrix import Mat
+from sl2rat.poly import Poly
+from sl2rat.ratfunc import RatFunc
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py")
 
@@ -49,3 +52,28 @@ def test_devissage_level_split_and_filtration_are_traced():
     assert counts["k0.devissage"][0] == 1
     assert counts["rep.level_decompose"][0] > 0
     assert counts["rep.filtration"][0] > 0
+
+
+def test_mat_eliminations_go_through_the_traced_rref_and_hyper_does_not():
+    """`matrix.rref` counts every `Mat` elimination and no `Fraction` one.
+
+    `Mat.kernel`, `solve` and `inverse` share the row reduction with
+    `hyper`'s polynomial solutions; only the `Mat` callers enter `Mat.rref`.
+    """
+    z = RatFunc.variable()
+    m = Mat([[z, 1], [1, z + 1]])
+    calls = {
+        "kernel": lambda: Mat([[1, z, z + 1], [z, z * z, 1]]).kernel(),
+        "solve": lambda: m.solve(Mat.column([1, z])),
+        "inverse": lambda: m.inverse(),
+        # (z + 1) y(z) - z y(z + 1) = 0 has the solution y = z
+        "poly_solutions": lambda: hyper.poly_solutions([Poly((1, 1)), Poly((0, -1))]),
+    }
+    counts = {}
+    for name, call in calls.items():
+        tracer = _tracing().Tracer()
+        with tracer.installed():
+            result = call()
+        assert result
+        counts[name] = tracer.per_name()["matrix.rref"][0]
+    assert counts == {"kernel": 1, "solve": 1, "inverse": 1, "poly_solutions": 0}
