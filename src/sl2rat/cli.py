@@ -40,6 +40,7 @@ if TYPE_CHECKING:
     from .extension import ExtDatum
     from .k0 import FactorKey, K0Class
     from .matrix import Mat
+    from .parser import Operands
     from .picard import PicInvariant
     from .ratfunc import RatFunc
     from .rep import RationalRep
@@ -76,26 +77,38 @@ def _int(doc: Dict, key: str, name: str) -> int:
     return value
 
 
-def _ratfunc(doc: Dict, key: str) -> RatFunc:
-    from .parser import parse_ratfunc
-
+def _text(doc: Dict, key: str) -> str:
     text = _need(doc, key)
     if not isinstance(text, str):
         raise InputError(f"field {key!r} must be a string")
-    return parse_ratfunc(text)
+    return text
 
 
-def _nonzero_ratfunc(doc: Dict, key: str) -> RatFunc:
+def _ratfunc(doc: Dict, key: str) -> RatFunc:
+    from .parser import parse_ratfunc
+
+    return parse_ratfunc(_text(doc, key))
+
+
+def _factored(doc: Dict, key: str) -> Tuple[RatFunc, Operands]:
+    """A field that gets factored (r, f, s), parsed with its operands."""
+    from .parser import parse_ratfunc
+
+    return parse_ratfunc(_text(doc, key), with_operands=True)
+
+
+def _nonzero(value: RatFunc, key: str) -> RatFunc:
     """A field that must be a nonzero rational function: r of a rank-1 module, f of solve-mult."""
-    value = _ratfunc(doc, key)
     if value.is_zero():
         raise InputError(f"field {key!r} must be a nonzero rational function")
     return value
 
 
-def _matrix(doc: Dict, key: str) -> Mat:
-    from .matrix import mat_from_strings
+def _nonzero_ratfunc(doc: Dict, key: str) -> RatFunc:
+    return _nonzero(_ratfunc(doc, key), key)
 
+
+def _rows(doc: Dict, key: str) -> List[List[str]]:
     rows = _need(doc, key)
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
@@ -103,23 +116,46 @@ def _matrix(doc: Dict, key: str) -> Mat:
         raise InputError(f"field {key!r} must be a list of lists of strings")
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise InputError(f"field {key!r} must be a non-empty matrix with rows of equal length")
-    return mat_from_strings(rows)
+    return rows
+
+
+def _matrix(doc: Dict, key: str) -> Mat:
+    from .matrix import mat_from_strings
+
+    return mat_from_strings(_rows(doc, key))
+
+
+def _checked_dim(dim: int, A: Mat, B: Mat) -> Tuple[int, Mat, Mat]:
+    if A.shape != (dim, dim) or B.shape != (dim, dim):
+        raise InputError("declared dim disagrees with the matrices")
+    return dim, A, B
 
 
 def _operators(doc: Dict) -> Tuple[int, Mat, Mat]:
     """The declared dim, the lowering matrix (Lm1) and the raising matrix (L1)."""
-    dim = _int(doc, "dim", "dim")
-    A = _matrix(doc, "Lm1")
-    B = _matrix(doc, "L1")
-    if A.shape != (dim, dim) or B.shape != (dim, dim):
-        raise InputError("declared dim disagrees with the matrices")
-    return dim, A, B
+    return _checked_dim(_int(doc, "dim", "dim"), _matrix(doc, "Lm1"), _matrix(doc, "L1"))
 
 
 def _rep_from_doc(doc: Dict) -> RationalRep:
     from .rep import RationalRep, validate
 
     return validate(RationalRep(*_operators(doc)))
+
+
+def _rank1_rep_from_doc(doc: Dict) -> Tuple[RationalRep, Operands]:
+    """`_rep_from_doc` with the operands of L1[0][0], the raising function of a rank-1 module.
+
+    Fields are read and checked in the same order; L1's entries are parsed
+    with their operands.
+    """
+    from .matrix import Mat
+    from .parser import parse_ratfunc
+    from .rep import RationalRep, validate
+
+    dim, A = _int(doc, "dim", "dim"), _matrix(doc, "Lm1")
+    parsed = [[parse_ratfunc(e, with_operands=True) for e in row] for row in _rows(doc, "L1")]
+    B = Mat([[value for value, _ in row] for row in parsed])
+    return validate(RationalRep(*_checked_dim(dim, A, B))), parsed[0][0][1]
 
 
 def _pair(doc: Dict) -> Tuple[RationalRep, RationalRep]:
@@ -261,24 +297,29 @@ def _dual(doc, args):
 
 
 def _iso(doc, args):
+    from .factor import factor_operands
     from .picard import iso_rank1
 
-    first, second = _pair(doc)
+    first, ops1 = _rank1_rep_from_doc(_need(doc, "first"))
+    second, ops2 = _rank1_rep_from_doc(_need(doc, "second"))
     if first.dim != 1 or second.dim != 1:
         raise InputError("expected a one-dimensional module")
-    result = iso_rank1(first, second)
+    # the operands of r2/r1: those of r2, and those of r1 with their signs flipped
+    quotient = ops2.items + tuple((p, -e) for p, e in ops1.items)
+    result = iso_rank1(first, second, factors=factor_operands(quotient))
     if result.intertwiner is None:
         return {"isomorphic": False, "reason": result.reason}
     return {"isomorphic": True, "intertwiner": str(result.intertwiner)}
 
 
 def _classify_rank1(doc, args):
+    from .factor import factor_operands
     from .rep import classify_rank1, require_casimir
 
-    rep = _rep_from_doc(doc)
+    rep, operands = _rank1_rep_from_doc(doc)
     if rep.dim != 1:
         raise InputError("classification applies to one-dimensional modules")
-    kinds = classify_rank1(rep)
+    kinds = classify_rank1(rep, factors=factor_operands(operands.items))
     return {"level": str(require_casimir(rep)), "kinds": [{"kind": k, "gamma": str(g)} for k, g in kinds]}
 
 
@@ -290,15 +331,19 @@ def _rationalize(doc, args):
 
 def _solve_add(doc, args):
     from .extension import solve_add_diff
+    from .factor import factor_within
 
-    phi = solve_add_diff(_ratfunc(doc, "s"))
+    s, operands = _factored(doc, "s")
+    phi = solve_add_diff(s, factors=factor_within(s.den, operands.cover))
     return {"solvable": False} if phi is None else {"solvable": True, "phi": str(phi)}
 
 
 def _solve_mult(doc, args):
+    from .factor import factor_operands
     from .picard import solve_mult_diff
 
-    t = solve_mult_diff(_nonzero_ratfunc(doc, "f"))
+    f, operands = _factored(doc, "f")
+    t = solve_mult_diff(_nonzero(f, "f"), factors=factor_operands(operands.items))
     return {"solvable": False} if t is None else {"solvable": True, "t": str(t)}
 
 
@@ -340,9 +385,12 @@ def _check_orbit_size(f: RatFunc, k: int) -> None:
 
 
 def _pic_pair(doc) -> PicInvariant:
+    from .factor import factor_operands
     from .picard import pic_invariant
 
-    return pic_invariant(_parse_level(_need(doc, "level")), _nonzero_ratfunc(doc, "r"))
+    level = _parse_level(_need(doc, "level"))
+    r, operands = _factored(doc, "r")
+    return pic_invariant(level, _nonzero(r, "r"), factors=factor_operands(operands.items))
 
 
 def _pic_normalize(doc, args):

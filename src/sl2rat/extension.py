@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InvalidExtensionData, LevelMismatch, LevelOutsideBaseField, NotARepresentation
+from .factor import FactorList
 from .matrix import Mat
 from .picard import iso_rank1
 from .poly import Poly, pi_mu
@@ -122,15 +123,16 @@ def _solve_add_poly(s: Poly) -> Poly:
     return phi
 
 
-def solve_add_diff(s) -> Optional[RatFunc]:
+def solve_add_diff(s, *, factors: Optional[FactorList] = None) -> Optional[RatFunc]:
     """Solve phi(z+1) - phi(z) = s(z) in Q(z), or None.
 
     The polynomial part always telescopes; the proper part is solvable iff
     within every shift class and pole order the shifted principal parts sum
-    to zero, in which case partial sums give the solution.
+    to zero, in which case partial sums give the solution.  `factors`, when
+    known, is the factor list of s's denominator (see `partial_fractions`).
     """
     s = as_ratfunc(s)
-    poly_part, pieces = partial_fractions(s)
+    poly_part, pieces = partial_fractions(s, factors=factors)
     phi = RatFunc(_solve_add_poly(poly_part))
     # group principal parts: class rep -> order j -> offset -> numerator eta
     # where the piece is eta(z - u) / rep(z - u)^j

@@ -25,7 +25,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .poly import Poly, poly_gcd, _int_pdivmod, _int_primitive, _make, _raw, _to_int_primitive
 
@@ -369,6 +369,69 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
             out += [(_raw(fac, 1).monic(), mult) for fac in _factor_squarefree_int(_to_int_primitive(part))]
     out.sort(key=lambda fm: fm[0].sort_key())
     return lead, out
+
+
+FactorList = List[Tuple[Poly, int]]
+
+
+def _factor_list(p: Poly) -> FactorList:
+    """factor_poly(p)[1] for a nonconstant p; degree 1 and 2 read the closed form directly."""
+    return _closed_form(p) if p.degree <= 2 else factor_poly(p)[1]
+
+
+def factor_operands(items: Iterable[Tuple[Poly, int]]) -> Tuple[FactorList, FactorList]:
+    """Factor lists of the numerator and denominator of c * prod(p ** e for p, e in items).
+
+    Equal operands are merged and cancelled first, then each distinct one
+    left is factored once (by the closed form up to degree 2, by
+    `factor_poly` above it) and the irreducibles are merged across the
+    numerator and the denominator.  Factorization over Q[z] is unique, so
+    for a nonzero product with canonical sides num/den the result is
+    (factor_poly(num)[1], factor_poly(den)[1]); `check_factors` certifies it.
+    """
+    net: Dict[Poly, int] = {}
+    for p, e in items:
+        if p.degree > 0:
+            net[p] = net.get(p, 0) + e
+    counts: Dict[Poly, int] = {}
+    for p, e in net.items():
+        if e:
+            for q, m in _factor_list(p):
+                counts[q] = counts.get(q, 0) + m * e
+    ordered = sorted(counts.items(), key=lambda qm: qm[0].sort_key())
+    return [(q, m) for q, m in ordered if m > 0], [(q, -m) for q, m in ordered if m < 0]
+
+
+def factor_within(p: Poly, cover: Iterable[Poly]) -> FactorList:
+    """factor_poly(p)[1] for a p whose irreducible factors all divide polynomials in `cover`.
+
+    The candidates are the irreducible factors of the cover, each distinct
+    cover polynomial factored once; the multiplicity of each in p is found by
+    exact trial division.  `check_factors` certifies the result.
+    """
+    if p.degree < 1:
+        return []
+    candidates = {q for c in dict.fromkeys(cover) if c.degree > 0 for q, _ in _factor_list(c)}
+    out: FactorList = []
+    for q in sorted(candidates, key=Poly.sort_key):
+        m = 0
+        while p.degree >= q.degree:
+            quo, rem = divmod(p, q)
+            if rem:
+                break
+            p, m = quo, m + 1
+        if m:
+            out.append((q, m))
+    return out
+
+
+def check_factors(p: Poly, factors: FactorList) -> None:
+    """ArithmeticError unless p is its lead times the product of `factors`: the exact certificate."""
+    product = Poly.one()
+    for q, m in factors:
+        product = product * q ** m
+    if p.monic() != product:
+        raise ArithmeticError("the given factors must multiply back to the polynomial")
 
 
 def monic_divisors(p: Poly) -> List[Poly]:

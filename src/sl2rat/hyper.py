@@ -111,6 +111,23 @@ def _prefix_products(factors: Sequence[Poly]) -> List[Poly]:
     return out
 
 
+class _Divisors:
+    """`monic_divisors(p)` in order, factoring p only when an iteration passes the first, 1.
+
+    A search that ends at the divisor 1 never factors p.
+    """
+
+    def __init__(self, p: Poly):
+        self.p = p
+        self.rest: Optional[List[Poly]] = None
+
+    def __iter__(self) -> Iterator[Poly]:
+        yield Poly.one()
+        if self.rest is None:
+            self.rest = monic_divisors(self.p)[1:]
+        yield from self.rest
+
+
 def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
     m = len(coeffs) - 1
     a0, am = coeffs[0], coeffs[m]
@@ -119,8 +136,8 @@ def _search(coeffs: Sequence[Poly]) -> Iterator[Tuple[str, object, int]]:
     terms = [(i, p.degree, p.lead) for i, p in enumerate(coeffs) if not p.is_zero()]
     roots = {}  # (deg A, deg B) -> nonzero rational roots of chi
     tails = {}  # B -> [B(z+i) ... B(z+m-1) for i = 0..m]
-    Bs = monic_divisors(am.shifted(-(m - 1)))
-    for A in monic_divisors(a0):
+    Bs = _Divisors(am.shifted(-(m - 1)))
+    for A in _Divisors(a0):
         heads = None  # [A(z) ... A(z+i-1) for i = 0..m], formed for A's first pair with a root
         for B in Bs:
             key = (A.degree, B.degree)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .factor import factor_poly
+from .factor import FactorList, check_factors, factor_poly
 from .poly import Poly
 from .ratfunc import RatFunc, as_ratfunc, leading_ratio
 from .shifts import canonical_shift_rep
@@ -22,6 +22,8 @@ from .shifts import canonical_shift_rep
 Scalar = Union[int, Fraction]
 
 ClassItem = Tuple[Poly, int]
+
+Factors = Tuple[FactorList, FactorList]  # numerator and denominator factor lists
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,17 @@ def _canonical_classes(counts: Dict[Poly, int]) -> Tuple[ClassItem, ...]:
     return tuple(items)
 
 
-def pic_invariant(mu: Scalar, r) -> PicInvariant:
-    """Factor r and accumulate net multiplicities per canonical shift class."""
+def pic_invariant(mu: Scalar, r, *, factors: Optional[Factors] = None) -> PicInvariant:
+    """Factor r and accumulate net multiplicities per canonical shift class.
+
+    `factors`, when known, are r's numerator and denominator factor lists
+    (see `_offset_multisets`).
+    """
     r = as_ratfunc(r)
     if r.is_zero():
         raise ValueError("invariants are defined for nonzero functions")
-    counts = {rep: len(zeros) - len(poles) for rep, (zeros, poles) in _offset_multisets(r).items()}
+    table = _offset_multisets(r, factors=factors)
+    counts = {rep: len(zeros) - len(poles) for rep, (zeros, poles) in table.items()}
     return PicInvariant(Fraction(mu), leading_ratio(r), _canonical_classes(counts))
 
 
@@ -79,32 +86,42 @@ def pic_inverse(a: PicInvariant) -> PicInvariant:
 # -- the multiplicative difference equation t(z)/t(z+1) = f(z) --------------------
 
 
-def _offset_multisets(f: RatFunc) -> Dict[Poly, Tuple[List[int], List[int]]]:
-    """Per canonical class: (zero offsets, pole offsets) with multiplicity."""
+def _offset_multisets(f: RatFunc, *, factors: Optional[Factors] = None) -> Dict[Poly, Tuple[List[int], List[int]]]:
+    """Per canonical class: (zero offsets, pole offsets) with multiplicity.
+
+    `factors`, when known, are the factor lists of f.num and f.den as
+    `factor_poly` gives them, for example read off parsed operands by
+    `factor.factor_operands`; they are multiplied back out and compared with
+    f's sides instead of factoring them (`check_factors`).
+    """
     out: Dict[Poly, Tuple[List[int], List[int]]] = {}
-    for poly, which in ((f.num, 0), (f.den, 1)):
-        if poly.degree < 1:
-            continue
-        _, facs = factor_poly(poly)
+    for which, poly in enumerate((f.num, f.den)):
+        if factors is None:
+            facs = factor_poly(poly)[1] if poly.degree > 0 else []
+        else:
+            facs = factors[which]
+            check_factors(poly, facs)
         for fac, mult in facs:
             rep, a = canonical_shift_rep(fac)
             out.setdefault(rep, ([], []))[which].extend([a] * mult)
     return out
 
 
-def solve_mult_diff(f) -> Optional[RatFunc]:
+def solve_mult_diff(f, *, factors: Optional[Factors] = None) -> Optional[RatFunc]:
     """Solve t(z)/t(z+1) = f(z) in Q(z), or None when no solution exists.
 
     Solvable iff zeros and poles pair up under integer shifts with leading
     ratio one; the solution is assembled from shifted products of the
-    canonical class representatives and normalized monic/monic.
+    canonical class representatives and normalized monic/monic.  `factors`,
+    when known, are f's numerator and denominator factor lists (see
+    `_offset_multisets`).
     """
     f = as_ratfunc(f)
     if f.is_zero():
         raise ValueError("the equation needs a nonzero right-hand side")
     if leading_ratio(f) != 1:
         return None
-    table = _offset_multisets(f)
+    table = _offset_multisets(f, factors=factors)
     num = Poly.one()
     den = Poly.one()
     for rep in sorted(table, key=Poly.sort_key):
@@ -143,19 +160,21 @@ def _rank1_data(rep) -> Tuple[Fraction, RatFunc]:
     return mu, rep.B[0, 0]
 
 
-def iso_rank1(r1rep, r2rep) -> IsoResult:
+def iso_rank1(r1rep, r2rep, *, factors: Optional[Factors] = None) -> IsoResult:
     """Intertwiner t with r2(z) t(z+1) = t(z) r1(z), or a reason code.
 
     Levels are compared first: a raising intertwiner can exist across
     levels even though the module Hom is zero, so the scalar test alone
     would be unsound.  Then `solve_mult_diff(r2 / r1)` decides by the group
     law; its monic/monic t is unique, as a 1-periodic ratio is constant.
+    `factors`, when known, are the numerator and denominator factor lists
+    of r2/r1 (see `_offset_multisets`).
     """
     mu1, r1 = _rank1_data(r1rep)
     mu2, r2 = _rank1_data(r2rep)
     if mu1 != mu2:
         return IsoResult(None, "LevelMismatch")
-    t = solve_mult_diff(r2 / r1)
+    t = solve_mult_diff(r2 / r1, factors=factors)
     if t is None:
         return IsoResult(None, "InvariantMismatch")
     if r2 * t.shifted(1) != t * r1:

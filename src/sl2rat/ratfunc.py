@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .errors import ZeroDenominator
-from .factor import factor_poly
+from .factor import FactorList, check_factors, factor_poly
 from .poly import Poly, _coerce as _as_poly, _make, format_poly, poly_gcd
 
 Scalar = Union[int, Fraction]
@@ -327,16 +327,25 @@ def poly_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
     return r0 * c, s0 * c, t0 * c
 
 
-def partial_fractions(f: RatFunc) -> Tuple[Poly, List[Tuple[Poly, int, Poly]]]:
+def partial_fractions(
+    f: RatFunc, *, factors: Optional[FactorList] = None
+) -> Tuple[Poly, List[Tuple[Poly, int, Poly]]]:
     """Decompose f as poly_part + sum of a/(q^j), q monic irreducible, deg a < deg q.
 
     Returns (poly_part, [(q, j, a)]) sorted by (q, j).  Exact; recombining
-    reproduces f.
+    reproduces f.  `factors`, when known, is the factor list of f.den as
+    `factor_poly` gives it, for example from `factor.factor_within`; it is
+    multiplied back out and compared with f.den instead of factoring it
+    (`check_factors`).
     """
     poly_part, rem = divmod(f.num, f.den)
     if rem.is_zero():
         return poly_part, []
-    _, facs = factor_poly(f.den)
+    if factors is None:
+        _, facs = factor_poly(f.den)
+    else:
+        facs = factors
+        check_factors(f.den, facs)
     pieces: List[Tuple[Poly, int, Poly]] = []
     for q, e in facs:
         qe = q ** e

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .factor import factor_poly
 from .matrix import Mat
-from .picard import pic_invariant
+from .picard import Factors, pic_invariant
 from .poly import Poly, _of_fractions, mu_roots, pi_mu, poly_lcm
 from .ratfunc import RatFunc, as_ratfunc, pochhammer
 
@@ -122,6 +122,15 @@ def commutation_residual(A: Mat, B: Mat) -> Mat:
     return A * B.shifted(-1) - B * A.shifted(1) + Mat.diag([_TWO_Z] * A.nrows)
 
 
+def _check_shapes(rep: Union[RationalRep, PolynomialRep]) -> None:
+    """ValueError unless both operators are square matrices of the declared dimension."""
+    A, B = rep.A, rep.B
+    if A.nrows != A.ncols or B.nrows != B.ncols or A.nrows != B.nrows:
+        raise ValueError("operator matrices must be square and of equal size")
+    if A.nrows != rep.dim:
+        raise ValueError("declared dimension disagrees with the matrices")
+
+
 def validate(rep: RationalRep) -> RationalRep:
     """Accept iff the commutation identity holds and both operators invert.
 
@@ -130,12 +139,8 @@ def validate(rep: RationalRep) -> RationalRep:
     invertibility, as det P = det A(z) det B(z-1); and the Casimir matrix
     C = z(z-1) Id - P, which the accepted module carries.
     """
-    A, B = rep.A, rep.B
-    if A.nrows != A.ncols or B.nrows != B.ncols or A.nrows != B.nrows:
-        raise ValueError("operator matrices must be square and of equal size")
-    if A.nrows != rep.dim:
-        raise ValueError("declared dimension disagrees with the matrices")
-    n = rep.dim
+    _check_shapes(rep)
+    A, B, n = rep.A, rep.B, rep.dim
     P = A * B.shifted(-1)
     residual = P - (P.shifted(1) if n == 1 else B * A.shifted(1)) + Mat.diag([_TWO_Z] * n)
     if not residual.is_zero():
@@ -480,6 +485,7 @@ def _require_polynomial_entries(rep: PolynomialRep) -> None:
 
 def validate_polynomial(rep: PolynomialRep) -> PolynomialRep:
     _require_polynomial_entries(rep)
+    _check_shapes(rep)
     residual = commutation_residual(rep.A, rep.B)
     if not residual.is_zero():
         raise NotARepresentation(residual)
@@ -487,24 +493,26 @@ def validate_polynomial(rep: PolynomialRep) -> PolynomialRep:
 
 
 def rationalize(rep: PolynomialRep) -> RationalRep:
-    """Localize to the function field: same matrices, validated once by `make_rep`."""
+    """Localize to the function field: same matrices and declared dim, validated once."""
     _require_polynomial_entries(rep)
-    return make_rep(rep.A, rep.B)
+    return validate(RationalRep(rep.dim, rep.A, rep.B))
 
 
-def classify_rank1(rep: RationalRep):
+def classify_rank1(rep: RationalRep, *, factors: Optional[Factors] = None):
     """Match a rank-1 module against the rationalized polynomial families.
 
     Returns a list of (kind, gamma) pairs, every family whose invariant
     matches; the empty list means the module is not a rationalization of a
     rank-1 polynomial module.  Kinds II and III can both appear when the
-    two linear factors are shift-equivalent.
+    two linear factors are shift-equivalent.  `factors`, when known, are the
+    numerator and denominator factor lists of the raising function (see
+    `picard.pic_invariant`).
     """
     if rep.dim != 1:
         raise ValueError("classification applies to one-dimensional modules")
     mu = require_casimir(rep)
     r = rep.B[0, 0]
-    inv = pic_invariant(mu, r)
+    inv = pic_invariant(mu, r, factors=factors)
     bases = {"I": RatFunc(pi_mu(mu).shifted(1)), "IV": RatFunc.one()}
     if mu_roots(mu) is not None:
         alpha, beta = _split_pi_mu(mu)

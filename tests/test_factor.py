@@ -14,12 +14,16 @@ from sl2rat.factor import (
     _zm_gcd,
     _zm_mul,
     _zm_red,
+    check_factors,
+    factor_operands,
     factor_poly,
+    factor_within,
     monic_divisors,
     rational_roots,
     squarefree_decomposition,
 )
 from sl2rat.poly import Poly, _raw, _to_int_primitive, pi_mu
+from sl2rat.ratfunc import RatFunc
 
 
 Z = Poly.variable()
@@ -294,3 +298,40 @@ def test_recombination_retries_the_subset_size_after_a_split():
         assert sorted(_factor_squarefree_int(_to_int_primitive(p))) == sorted(
             _to_int_primitive(q) for q in expected
         ), p
+
+
+def test_factor_round_trips_hypothesis():
+    """factor_poly reassembles its input from sorted distinct monic irreducibles, and
+    factor_operands and factor_within read the same lists off a product of powers."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # shared irreducibles of degree 1 to 3, so factors repeat, merge and cancel
+    cubics = [Poly([-2, 0, 0, 1]), Poly([1, 1, 0, 1])]
+    irreducible = st.sampled_from([Poly([k, 1]) for k in range(-3, 4)] + [Poly([1, 0, 1]), Poly([1, 1, 1])] + cubics)
+    coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=4)
+    powers = st.lists(st.tuples(irreducible, st.integers(-3, 3)), max_size=4)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(coeffs, powers)
+    def round_trip(cs, items):
+        p = Poly(cs)
+        hypothesis.assume(not p.is_zero())
+        for q, e in items:
+            p = p * q ** abs(e)
+        lead, facs = factor_poly(p)
+        assert reassemble(lead, facs) == p
+        assert all(q.lead == 1 and q.degree > 0 and m > 0 for q, m in facs)
+        keys = [q.sort_key() for q, _ in facs]
+        assert keys == sorted(set(keys))
+        assert all(factor_poly(q)[1] == [(q, 1)] for q, _ in facs)
+        # p times the signed powers, as operands and as a value
+        value = RatFunc(p)
+        for q, e in items:
+            value = value * RatFunc(q) ** e if e >= 0 else value / RatFunc(q) ** -e
+        num, den = (factor_poly(s)[1] if s.degree > 0 else [] for s in (value.num, value.den))
+        assert factor_operands([(p, 1)] + items) == (num, den)
+        assert factor_within(value.den, [q for q, e in items if e < 0]) == den
+        check_factors(value.num, num)
+        check_factors(value.den, den)
+
+    round_trip()

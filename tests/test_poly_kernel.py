@@ -297,3 +297,27 @@ def test_ring_axioms_hypothesis():
             assert quo * q + rem == p and rem.degree < q.degree
 
     axioms()
+
+
+def test_gcd_round_trips_hypothesis():
+    """poly_gcd divides both sides, leaves coprime cofactors and scales with a common factor."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    poly = st.lists(coeff, max_size=5).map(Poly)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(poly, poly, poly)
+    def round_trip(a, b, c):
+        a, b = a * c, b * c  # a common factor, so most gcds are nontrivial
+        g = canonical(poly_gcd(a, b))
+        if a.is_zero() and b.is_zero():
+            assert g.is_zero()
+            return
+        assert g.lead == 1 and g == poly_gcd(b, a)
+        assert (a % g).is_zero() and (b % g).is_zero()
+        assert poly_gcd(a // g, b // g) == Poly.one()
+        if not c.is_zero():
+            assert (g % c.monic()).is_zero()
+
+    round_trip()

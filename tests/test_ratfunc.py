@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sl2rat.errors import ParseError, ZeroDenominator
+from sl2rat.factor import factor_poly
 from sl2rat.parser import (
     MAX_DEGREE,
     MAX_LITERAL_DIGITS,
@@ -51,9 +52,7 @@ def test_field_ops():
     assert f ** 0 == RatFunc.one()
 
 
-def test_field_axioms_hypothesis():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def _ratfunc_strategy(st):
     coeff = st.fractions(min_value=-12, max_value=12, max_denominator=6)
     # shared shifted linear factors and quadratics make the reduced forms cancel
     factor = st.sampled_from([Poly([k, 1]) for k in range(-3, 4)] + [Poly([1, 1, 1]), Poly([-2, 0, 3])])
@@ -66,7 +65,13 @@ def test_field_axioms_hypothesis():
         return p
 
     side = st.tuples(st.lists(coeff, min_size=1, max_size=3), st.lists(factor, max_size=3)).map(product)
-    ratfunc = st.tuples(side, side.filter(lambda p: not p.is_zero())).map(lambda nd: RatFunc(*nd))
+    return st.tuples(side, side.filter(lambda p: not p.is_zero())).map(lambda nd: RatFunc(*nd))
+
+
+def test_field_axioms_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ratfunc = _ratfunc_strategy(st)
 
     def reduced(r):
         assert r.den.lead == 1 and poly_gcd(r.num, r.den) == Poly.one()
@@ -252,3 +257,27 @@ def test_partial_fractions_reassembles():
             assert a.degree < q.degree
             total = total + RatFunc(a, q ** j)
         assert total == f
+
+
+def test_partial_fractions_round_trip_hypothesis():
+    """The pieces recombine to f, and a known factorization of f.den gives the same pieces or is refused."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_ratfunc_strategy(st))
+    def round_trip(f):
+        poly_part, pieces = partial_fractions(f)
+        total = RatFunc(poly_part)
+        for q, j, a in pieces:
+            assert q.lead == 1 and factor_poly(q)[1] == [(q, 1)] and j >= 1 and a.degree < q.degree
+            assert (f.den % q ** j).is_zero()
+            total = total + RatFunc(a, q ** j)
+        assert total == f
+        facs = factor_poly(f.den)[1] if f.den.degree > 0 else []
+        assert partial_fractions(f, factors=facs) == (poly_part, pieces)
+        if pieces:
+            with pytest.raises(ArithmeticError):
+                partial_fractions(f, factors=[(q, m + 1) for q, m in facs])
+
+    round_trip()

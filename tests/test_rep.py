@@ -32,6 +32,7 @@ from sl2rat.rep import (
     Filtration,
     FiltrationStep,
     LevelComponent,
+    PolynomialRep,
     RationalRep,
     canonical_filtration,
     casimir_from_L1,
@@ -52,6 +53,7 @@ from sl2rat.rep import (
     rationalize,
     restrict_to_invariant_subspace,
     validate,
+    validate_polynomial,
 )
 
 Z = RatFunc.variable()
@@ -247,6 +249,17 @@ def test_rationalize_spec_examples():
     for kind in ("I", "II", "III", "IV"):
         rep = rationalize(poly_rank1(kind, 2, -3))
         validate(rep)
+
+
+def test_rationalize_and_validate_polynomial_check_the_declared_dim():
+    good = PolynomialRep(1, Mat([[1]]), Mat([[Z * Z + Z]]))
+    assert validate_polynomial(good) is good
+    assert rationalize(good) == RationalRep(1, good.A, good.B)
+    for dim in (0, 2, 3):
+        bad = PolynomialRep(dim, good.A, good.B)
+        for check in (rationalize, validate_polynomial):
+            with pytest.raises(ValueError, match="declared dimension disagrees with the matrices"):
+                check(bad)
 
 
 def test_classify_rank1_spec_examples():

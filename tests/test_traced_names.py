@@ -7,11 +7,14 @@ through a private copy of the level split would read zero calls.
 """
 import importlib
 import importlib.util
+import io
+import json
 import os
 import random
+import sys
 
 from helpers import random_rank1_extension
-from sl2rat import hyper, k0
+from sl2rat import cli, hyper, k0
 from sl2rat.extension import ext_build
 from sl2rat.matrix import Mat
 from sl2rat.poly import Poly
@@ -77,3 +80,26 @@ def test_mat_eliminations_go_through_the_traced_rref_and_hyper_does_not():
         assert result
         counts[name] = tracer.per_name()["matrix.rref"][0]
     assert counts == {"kernel": 1, "solve": 1, "inverse": 1, "poly_solutions": 0}
+
+
+def test_factored_parse_reaches_the_traced_factor_poly(monkeypatch, capsys):
+    """The per-operand path calls `factor.factor_poly` through the module attribute, so `factor` counts it.
+
+    Each distinct operand of degree 3 or more is one call; lower degrees take
+    the closed form.  The CLI parses a factored field through the traced
+    `parse_ratfunc`, so `parser` counts it too.
+    """
+    r = "(z^3 + z + 1)^2*(z + 1)*(z^2 + 1)/((z^3 - 2)*(z^3 + z + 1)*(z - 1))"
+    requests = {
+        ("pic", "normalize"): ({"level": "0", "r": r}, 2),  # z^3 + z + 1 and z^3 - 2
+        ("solve-add",): ({"s": r}, 2),  # the denominator's operands z^3 - 2 and z^3 + z + 1
+        ("solve-mult",): ({"f": f"({r})*(z^3 - 2)"}, 1),  # z^3 - 2 cancels before factoring
+    }
+    for argv, (doc, calls) in requests.items():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        tracer = _tracing().Tracer()
+        with tracer.installed():
+            assert cli.execute(list(argv)) == 0
+        capsys.readouterr()
+        counts = tracer.per_name()
+        assert (counts["parser"][0], counts["factor"][0]) == (1, calls), argv
