@@ -84,17 +84,15 @@ def _text(doc: Dict, key: str) -> str:
     return text
 
 
-def _ratfunc(doc: Dict, key: str) -> RatFunc:
-    from .parser import parse_ratfunc
-
-    return parse_ratfunc(_text(doc, key))
-
-
 def _factored(doc: Dict, key: str) -> Tuple[RatFunc, Operands]:
-    """A field that gets factored (r, f, s), parsed with its operands."""
+    """An expression field, parsed with the operands that r, f and s are factored from."""
     from .parser import parse_ratfunc
 
     return parse_ratfunc(_text(doc, key), with_operands=True)
+
+
+def _ratfunc(doc: Dict, key: str) -> RatFunc:
+    return _factored(doc, key)[0]
 
 
 def _nonzero(value: RatFunc, key: str) -> RatFunc:
@@ -125,37 +123,33 @@ def _matrix(doc: Dict, key: str) -> Mat:
     return mat_from_strings(_rows(doc, key))
 
 
-def _checked_dim(dim: int, A: Mat, B: Mat) -> Tuple[int, Mat, Mat]:
-    if A.shape != (dim, dim) or B.shape != (dim, dim):
-        raise InputError("declared dim disagrees with the matrices")
-    return dim, A, B
+def _operators(doc: Dict) -> Tuple[Tuple[int, Mat, Mat], Operands]:
+    """The declared dim, the lowering matrix (Lm1), the raising matrix (L1) and the operands of L1[0][0].
 
-
-def _operators(doc: Dict) -> Tuple[int, Mat, Mat]:
-    """The declared dim, the lowering matrix (Lm1) and the raising matrix (L1)."""
-    return _checked_dim(_int(doc, "dim", "dim"), _matrix(doc, "Lm1"), _matrix(doc, "L1"))
-
-
-def _rep_from_doc(doc: Dict) -> RationalRep:
-    from .rep import RationalRep, validate
-
-    return validate(RationalRep(*_operators(doc)))
-
-
-def _rank1_rep_from_doc(doc: Dict) -> Tuple[RationalRep, Operands]:
-    """`_rep_from_doc` with the operands of L1[0][0], the raising function of a rank-1 module.
-
-    Fields are read and checked in the same order; L1's entries are parsed
-    with their operands.
+    Every module document is read and checked here, in this order.  L1[0][0]
+    is the raising function of a rank-1 module, which `iso` and
+    `classify-rank1` factor from its operands.
     """
     from .matrix import Mat
     from .parser import parse_ratfunc
-    from .rep import RationalRep, validate
 
     dim, A = _int(doc, "dim", "dim"), _matrix(doc, "Lm1")
     parsed = [[parse_ratfunc(e, with_operands=True) for e in row] for row in _rows(doc, "L1")]
     B = Mat([[value for value, _ in row] for row in parsed])
-    return validate(RationalRep(*_checked_dim(dim, A, B))), parsed[0][0][1]
+    if A.shape != (dim, dim) or B.shape != (dim, dim):
+        raise InputError("declared dim disagrees with the matrices")
+    return (dim, A, B), parsed[0][0][1]
+
+
+def _rep_with_operands(doc: Dict) -> Tuple[RationalRep, Operands]:
+    from .rep import RationalRep, validate
+
+    operators, operands = _operators(doc)
+    return validate(RationalRep(*operators)), operands
+
+
+def _rep_from_doc(doc: Dict) -> RationalRep:
+    return _rep_with_operands(doc)[0]
 
 
 def _pair(doc: Dict) -> Tuple[RationalRep, RationalRep]:
@@ -300,8 +294,8 @@ def _iso(doc, args):
     from .factor import factor_operands
     from .picard import iso_rank1
 
-    first, ops1 = _rank1_rep_from_doc(_need(doc, "first"))
-    second, ops2 = _rank1_rep_from_doc(_need(doc, "second"))
+    first, ops1 = _rep_with_operands(_need(doc, "first"))
+    second, ops2 = _rep_with_operands(_need(doc, "second"))
     if first.dim != 1 or second.dim != 1:
         raise InputError("expected a one-dimensional module")
     # the operands of r2/r1: those of r2, and those of r1 with their signs flipped
@@ -316,7 +310,7 @@ def _classify_rank1(doc, args):
     from .factor import factor_operands
     from .rep import classify_rank1, require_casimir
 
-    rep, operands = _rank1_rep_from_doc(doc)
+    rep, operands = _rep_with_operands(doc)
     if rep.dim != 1:
         raise InputError("classification applies to one-dimensional modules")
     kinds = classify_rank1(rep, factors=factor_operands(operands.items))
@@ -326,7 +320,7 @@ def _classify_rank1(doc, args):
 def _rationalize(doc, args):
     from .rep import PolynomialRep, rationalize
 
-    return _rep_to_doc(rationalize(PolynomialRep(*_operators(doc))))
+    return _rep_to_doc(rationalize(PolynomialRep(*_operators(doc)[0])))
 
 
 def _solve_add(doc, args):

@@ -25,7 +25,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import Poly, poly_gcd, _int_pdivmod, _int_primitive, _make, _raw, _to_int_primitive
 
@@ -373,13 +373,15 @@ def factor_poly(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
 
 FactorList = List[Tuple[Poly, int]]
 
+Factors = Tuple[FactorList, FactorList]  # numerator and denominator factor lists
+
 
 def _factor_list(p: Poly) -> FactorList:
     """factor_poly(p)[1] for a nonconstant p; degree 1 and 2 read the closed form directly."""
     return _closed_form(p) if p.degree <= 2 else factor_poly(p)[1]
 
 
-def factor_operands(items: Iterable[Tuple[Poly, int]]) -> Tuple[FactorList, FactorList]:
+def factor_operands(items: Iterable[Tuple[Poly, int]]) -> Factors:
     """Factor lists of the numerator and denominator of c * prod(p ** e for p, e in items).
 
     Equal operands are merged and cancelled first, then each distinct one
@@ -432,6 +434,14 @@ def check_factors(p: Poly, factors: FactorList) -> None:
         product = product * q ** m
     if p.monic() != product:
         raise ArithmeticError("the given factors must multiply back to the polynomial")
+
+
+def certified_factors(p: Poly, given: Optional[FactorList] = None) -> FactorList:
+    """factor_poly(p)[1], or `given`, a factor list from outside, once `check_factors` certifies it."""
+    if given is None:
+        return factor_poly(p)[1] if p.degree > 0 else []
+    check_factors(p, given)
+    return given
 
 
 def monic_divisors(p: Poly) -> List[Poly]:

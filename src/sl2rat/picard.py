@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .factor import FactorList, check_factors, factor_poly
+from .factor import Factors, certified_factors
 from .poly import Poly
 from .ratfunc import RatFunc, as_ratfunc, leading_ratio
 from .shifts import canonical_shift_rep
@@ -22,8 +22,6 @@ from .shifts import canonical_shift_rep
 Scalar = Union[int, Fraction]
 
 ClassItem = Tuple[Poly, int]
-
-Factors = Tuple[FactorList, FactorList]  # numerator and denominator factor lists
 
 
 @dataclass(frozen=True)
@@ -91,17 +89,12 @@ def _offset_multisets(f: RatFunc, *, factors: Optional[Factors] = None) -> Dict[
 
     `factors`, when known, are the factor lists of f.num and f.den as
     `factor_poly` gives them, for example read off parsed operands by
-    `factor.factor_operands`; they are multiplied back out and compared with
-    f's sides instead of factoring them (`check_factors`).
+    `factor.factor_operands`; they are certified instead of factoring f's
+    sides (`factor.certified_factors`).
     """
     out: Dict[Poly, Tuple[List[int], List[int]]] = {}
     for which, poly in enumerate((f.num, f.den)):
-        if factors is None:
-            facs = factor_poly(poly)[1] if poly.degree > 0 else []
-        else:
-            facs = factors[which]
-            check_factors(poly, facs)
-        for fac, mult in facs:
+        for fac, mult in certified_factors(poly, None if factors is None else factors[which]):
             rep, a = canonical_shift_rep(fac)
             out.setdefault(rep, ([], []))[which].extend([a] * mult)
     return out

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .errors import ZeroDenominator
-from .factor import FactorList, check_factors, factor_poly
+from .factor import FactorList, certified_factors
 from .poly import Poly, _coerce as _as_poly, _make, format_poly, poly_gcd
 
 Scalar = Union[int, Fraction]
@@ -335,19 +335,13 @@ def partial_fractions(
     Returns (poly_part, [(q, j, a)]) sorted by (q, j).  Exact; recombining
     reproduces f.  `factors`, when known, is the factor list of f.den as
     `factor_poly` gives it, for example from `factor.factor_within`; it is
-    multiplied back out and compared with f.den instead of factoring it
-    (`check_factors`).
+    certified instead of factoring f.den (`factor.certified_factors`).
     """
     poly_part, rem = divmod(f.num, f.den)
     if rem.is_zero():
         return poly_part, []
-    if factors is None:
-        _, facs = factor_poly(f.den)
-    else:
-        facs = factors
-        check_factors(f.den, facs)
     pieces: List[Tuple[Poly, int, Poly]] = []
-    for q, e in facs:
+    for q, e in certified_factors(f.den, factors):
         qe = q ** e
         cofactor = f.den // qe
         if cofactor.degree > 0:  # f.den and q^e are monic, so a constant cofactor is 1

@@ -49,9 +49,9 @@ from .errors import (
     SingularMatrix,
     SingularOperator,
 )
-from .factor import factor_poly
+from .factor import Factors, factor_poly
 from .matrix import Mat
-from .picard import Factors, pic_invariant
+from .picard import pic_invariant
 from .poly import Poly, _of_fractions, mu_roots, pi_mu, poly_lcm
 from .ratfunc import RatFunc, as_ratfunc, pochhammer
 

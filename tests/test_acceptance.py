@@ -3,16 +3,17 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion.  Everything is deterministic: fixed seeds, fixed grids.
 """
+import contextlib
+import io
 import itertools
 import json
 import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 from helpers import build_corpus, random_nonzero_ratfunc
 from oracle import oracle_add, oracle_mult
+from sl2rat.cli import execute
 from sl2rat.extension import ExtDatum, ext_build, ext_class_equal, solve_add_diff
 from sl2rat.k0 import OpaqueKey, Rank1Key, devissage, find_rank1_quotient, find_rank1_sub, k0_add
 from sl2rat.matrix import Mat
@@ -287,6 +288,7 @@ def test_criterion_9_irreducibility_and_ext_grid():
 
 
 def test_criterion_10_cli_goldens():
+    """Every golden in-process; `test_cli.test_golden` runs each through `python -m sl2rat.cli`."""
     gold = os.path.join(HERE, "goldens")
     data = os.path.join(HERE, "data")
     with open(os.path.join(gold, "manifest.json"), "r", encoding="utf-8") as fh:
@@ -297,13 +299,11 @@ def test_criterion_10_cli_goldens():
         in_path = os.path.join(data, f"{case['name']}.json")
         with open(os.path.join(gold, f"{case['name']}.out"), "r", encoding="utf-8") as fh:
             expected = fh.read()
-        proc = subprocess.run(
-            [sys.executable, "-m", "sl2rat.cli", *case["argv"], "--input", in_path],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == case["exit"], case["name"]
-        assert proc.stdout == expected, case["name"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = execute([*case["argv"], "--input", in_path])
+        assert code == case["exit"], case["name"]
+        assert out.getvalue() == expected, case["name"]
         subcommands.add(tuple(case["argv"][:2]) if case["argv"][0] in ("pic", "ext") else (case["argv"][0],))
         errors += case["exit"] == 1
     assert len(subcommands) == 21 and errors >= 6

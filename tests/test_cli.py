@@ -290,7 +290,8 @@ def test_orbits_within_the_bounds_still_run(r, m):
     proc = run_cli(["orbit"], stdin_text=json.dumps({"level": "2", "r": r, "m": m}))
     assert proc.returncode == 0 and proc.stderr == ""
     got = sympy.sympify(json.loads(proc.stdout)["coefficient"].replace("^", "**"))
-    assert sympy.simplify(got - _orbit_oracle(r, m, 2)) == 0
+    field, _ = sympy.field("z", sympy.QQ)  # Q(z), whose elements are reduced fractions: an exact zero test
+    assert field.from_expr(got) - field.from_expr(_orbit_oracle(r, m, 2)) == 0
 
 
 def test_generated_orbit_requests_stay_within_the_bounds():
@@ -324,3 +325,28 @@ def test_module_of_dim_2_is_an_input_error_for_rank1_commands(argv, doc, message
     proc = run_cli(argv, stdin_text=json.dumps(doc))
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["error"] == {"type": "InputError", "message": message}
+
+
+# module documents that every module reader must refuse with one payload, whichever command reads them
+BAD_MODULES = [
+    ("dim disagrees", {"dim": 2, "L1": [["1"]], "Lm1": [["z^2 - z"]]}, "InputError"),
+    ("ragged L1", {"dim": 2, "L1": [["1", "0"], ["1"]], "Lm1": [["1", "0"], ["0", "1"]]}, "InputError"),
+    ("non-string L1 entry", {**REP, "L1": [[1]]}, "InputError"),
+    ("L1 entry does not parse", {**REP, "L1": [["z +"]]}, "ParseError"),
+    ("dim read first", {"dim": "1", "L1": [["z +"]], "Lm1": [["z z"]]}, "InputError"),
+    ("Lm1 read before L1", {**REP, "Lm1": [["z z"]], "L1": [["1", "2"], ["3"]]}, "ParseError"),
+]
+
+
+@pytest.mark.parametrize("doc,kind", [case[1:] for case in BAD_MODULES], ids=[case[0] for case in BAD_MODULES])
+def test_every_module_reader_refuses_a_malformed_module_alike(doc, kind, tmp_path, capsys):
+    from sl2rat.cli import execute
+
+    payloads = []
+    for argv, sent in ((["validate"], doc), (["classify-rank1"], doc), (["iso"], {"first": doc, "second": REP})):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(sent), encoding="utf-8")
+        assert execute([*argv, "--input", str(path)]) == 1
+        payloads.append(capsys.readouterr().out)
+    assert len(set(payloads)) == 1, payloads
+    assert json.loads(payloads[0])["error"]["type"] == kind

@@ -14,8 +14,11 @@ import random
 import pytest
 
 from sl2rat.errors import Sl2RatError
+from sl2rat.extension import solve_add_diff
 from sl2rat.factor import check_factors, factor_operands, factor_poly, factor_within
 from sl2rat.parser import Operands, parse_ratfunc
+from sl2rat.picard import iso_rank1, pic_invariant, solve_mult_diff
+from sl2rat.rep import classify_rank1, rank1
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -128,6 +131,27 @@ def test_check_factors_refuses_a_wrong_factorization():
     for wrong in ([(q, m + 1) for q, m in num], num[:1], num + den):
         with pytest.raises(ArithmeticError):
             check_factors(value.num, wrong)
+
+
+def test_every_consumer_refuses_a_wrong_factor_list():
+    """Each library entry point that takes `factors=` certifies the list instead of trusting it."""
+    r = parse_ratfunc("(z + 1)^2/((z + 2)*(z + 3))")  # leading ratio 1, so solve_mult_diff reaches the lists
+    s = parse_ratfunc("1/((z + 1)*(z + 3))")
+    right, den = (factor_poly(r.num)[1], factor_poly(r.den)[1]), factor_poly(s.den)[1]
+    wrong, wrong_den = (right[0], right[1][:1]), [(q, 2) for q, _ in den]
+    consumers = [
+        lambda facs: pic_invariant(0, r, factors=facs),
+        lambda facs: solve_mult_diff(r, factors=facs),
+        lambda facs: iso_rank1(rank1(0, 1), rank1(0, r), factors=facs),
+        lambda facs: classify_rank1(rank1(0, r), factors=facs),
+    ]
+    for consume in consumers:
+        consume(right)
+        with pytest.raises(ArithmeticError, match="multiply back"):
+            consume(wrong)
+    solve_add_diff(s, factors=den)
+    with pytest.raises(ArithmeticError, match="multiply back"):
+        solve_add_diff(s, factors=wrong_den)
 
 
 # sha256 of the corpus outcomes below, recorded with the evaluator that formed every
