@@ -11,8 +11,8 @@ document to the output document; ``args`` is read only for ``--seed``.  The
 (``pic`` and ``ext`` map each action name to a function) and drives both
 argparse and dispatch: `execute` reads the document, runs the function,
 emits the result and turns domain errors into diagnostics, each in one
-place.  A field of the wrong JSON type or shape is an `InputError`, and
-so is a zero r, r1, r2 (a rank-1 module) or f (solve-mult).
+place.  A field of the wrong JSON type or shape is an `InputError`; the
+library raises its own for an argument outside its domain or bounds.
 
 Commands import the library modules they run when they run, so a fresh
 process answering `pic normalize` loads neither `rep` nor `matrix`, and only
@@ -93,17 +93,6 @@ def _factored(doc: Dict, key: str) -> Tuple[RatFunc, Operands]:
 
 def _ratfunc(doc: Dict, key: str) -> RatFunc:
     return _factored(doc, key)[0]
-
-
-def _nonzero(value: RatFunc, key: str) -> RatFunc:
-    """A field that must be a nonzero rational function: r of a rank-1 module, f of solve-mult."""
-    if value.is_zero():
-        raise InputError(f"field {key!r} must be a nonzero rational function")
-    return value
-
-
-def _nonzero_ratfunc(doc: Dict, key: str) -> RatFunc:
-    return _nonzero(_ratfunc(doc, key), key)
 
 
 def _rows(doc: Dict, key: str) -> List[List[str]]:
@@ -296,8 +285,6 @@ def _iso(doc, args):
 
     first, ops1 = _rep_with_operands(_need(doc, "first"))
     second, ops2 = _rep_with_operands(_need(doc, "second"))
-    if first.dim != 1 or second.dim != 1:
-        raise InputError("expected a one-dimensional module")
     # the operands of r2/r1: those of r2, and those of r1 with their signs flipped
     quotient = ops2.items + tuple((p, -e) for p, e in ops1.items)
     result = iso_rank1(first, second, factors=factor_operands(quotient))
@@ -311,8 +298,6 @@ def _classify_rank1(doc, args):
     from .rep import classify_rank1, require_casimir
 
     rep, operands = _rep_with_operands(doc)
-    if rep.dim != 1:
-        raise InputError("classification applies to one-dimensional modules")
     kinds = classify_rank1(rep, factors=factor_operands(operands.items))
     return {"level": str(require_casimir(rep)), "kinds": [{"kind": k, "gamma": str(g)} for k, g in kinds]}
 
@@ -337,45 +322,17 @@ def _solve_mult(doc, args):
     from .picard import solve_mult_diff
 
     f, operands = _factored(doc, "f")
-    t = solve_mult_diff(_nonzero(f, "f"), factors=factor_operands(operands.items))
+    t = solve_mult_diff(f, factors=factor_operands(operands.items))
     return {"solvable": False} if t is None else {"solvable": True, "t": str(t)}
 
 
 def _orbit(doc, args):
-    from .poly import pi_mu
-    from .ratfunc import RatFunc
     from .rep import cyclic_orbit
 
     mu = _parse_level(_need(doc, "level"))
-    r = _nonzero_ratfunc(doc, "r")
+    r = _ratfunc(doc, "r")
     m = _int(doc, "m", "orbit index m")
-    _check_orbit_size(r if m >= 0 else r / RatFunc(pi_mu(mu).shifted(1)), abs(m))
     return {"coefficient": str(cyclic_orbit(mu, r, m))}
-
-
-def _check_orbit_size(f: RatFunc, k: int) -> None:
-    """InputError when k shifted products of f would pass the parser's power bounds.
-
-    The orbit is a product of k shifts f(z + j) with |j| <= k, checked like a
-    power before any product is formed.  Degree: k times the larger degree
-    of f, a constant counting as 1 since each of the k products is formed.
-    Coefficients: write f = (A/a) / (B/b) with A, B integer polynomials of
-    degree at most D and positive integers a, b, all of l1 norm at most 2^h
-    (`_log2_height`).  A shift by j multiplies an l1 norm by at most
-    (1 + |j|)^D, so both integer products have l1 norm at most 2^(k(h + DL))
-    with L = ceil(log2(k + 1)).  The reduced numerator and denominator are
-    integer factors of those products, of degree at most kD, so Mignotte's
-    factor bound keeps their coefficients under 2^(kD) times that norm; the
-    canonical form puts a^k or b^k and a leading coefficient over them,
-    which adds at most kh bits.  In all, at most k(2h + D(L + 1)) bits.
-    """
-    from .parser import MAX_DEGREE, MAX_POWER_BITS, _log2_height
-
-    degree = max(f.num.degree, f.den.degree)
-    if k * max(degree, 1) > MAX_DEGREE:
-        raise InputError(f"orbit of degree above {MAX_DEGREE}")
-    if k * (2 * _log2_height(f) + degree * (k.bit_length() + 1)) > MAX_POWER_BITS:
-        raise InputError(f"orbit with coefficients above {MAX_POWER_BITS} bits")
 
 
 def _pic_pair(doc) -> PicInvariant:
@@ -384,7 +341,7 @@ def _pic_pair(doc) -> PicInvariant:
 
     level = _parse_level(_need(doc, "level"))
     r, operands = _factored(doc, "r")
-    return pic_invariant(level, _nonzero(r, "r"), factors=factor_operands(operands.items))
+    return pic_invariant(level, r, factors=factor_operands(operands.items))
 
 
 def _pic_normalize(doc, args):
@@ -408,11 +365,7 @@ def _ext_datum(doc) -> ExtDatum:
 
     left = _rep_from_doc(_need(doc, "left"))
     right = _rep_from_doc(_need(doc, "right"))
-    B1, T = _matrix(doc, "B1"), _matrix(doc, "T")
-    try:
-        return ExtDatum(left, right, B1, T)
-    except ValueError as exc:  # B1 or T is not left.dim x right.dim
-        raise InputError(str(exc)) from None
+    return ExtDatum(left, right, _matrix(doc, "B1"), _matrix(doc, "T"))
 
 
 def _ext_build(doc, args):
@@ -433,8 +386,8 @@ def _ext_class_eq(doc, args):
     from .rep import rank1
 
     mu = _parse_level(_need(doc, "level"))
-    rho1 = rank1(mu, _nonzero_ratfunc(doc, "r1"))
-    rho2 = rank1(mu, _nonzero_ratfunc(doc, "r2"))
+    rho1 = rank1(mu, _ratfunc(doc, "r1"))
+    rho2 = rank1(mu, _ratfunc(doc, "r2"))
     b1, b2 = _ratfunc(doc, "b1"), _ratfunc(doc, "b2")
     T1, T2 = _parse_level(_need(doc, "T1")), _parse_level(_need(doc, "T2"))
     return {"result": ext_class_equal(rho1, rho2, b1, b2, T1, T2)}

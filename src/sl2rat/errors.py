@@ -1,8 +1,9 @@
 """Exception hierarchy for the sl2rat library.
 
 Domain failures raise subclasses of :class:`Sl2RatError`; the CLI maps them
-to exit code 1 with a structured diagnostic.  Programming errors (wrong
-types, shape mismatches) raise the usual ValueError/TypeError.
+to exit code 1 with a structured diagnostic.  An argument outside an
+operation's domain raises :class:`InputError`, which is also a ValueError.
+Other programming errors (wrong types) raise the usual ValueError/TypeError.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ class NotARepresentation(Sl2RatError):
         self.residual = residual
 
     def payload(self) -> dict:
-        return {**super().payload(), "residual": [[str(e) for e in row] for row in self.residual.rows_list()]}
+        return {**super().payload(), "residual": self.residual.to_strings()}
 
 
 class NonConstantMinpoly(Sl2RatError):
@@ -101,5 +102,5 @@ class CyclicVectorNotFound(Sl2RatError):
     """Bounded deterministic cyclic-vector search failed (does not occur generically)."""
 
 
-class InputError(Sl2RatError):
-    """Malformed CLI input document."""
+class InputError(Sl2RatError, ValueError):
+    """An argument outside the operation's domain, or past a stated bound."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InvalidExtensionData, LevelMismatch, LevelOutsideBaseField, NotARepresentation
+from .errors import InputError, InvalidExtensionData, LevelMismatch, LevelOutsideBaseField, NotARepresentation
 from .factor import FactorList
 from .matrix import Mat
 from .picard import iso_rank1
@@ -50,7 +50,7 @@ class ExtDatum:
         mp, mq = self.left.dim, self.right.dim
         for name, m in (("B1", self.B1), ("T", self.T)):
             if m.shape != (mp, mq):
-                raise ValueError(f"{name} must be {mp}x{mq}")
+                raise InputError(f"{name} must be {mp}x{mq}")
 
 
 def ext_build(datum: ExtDatum) -> RationalRep:

@@ -51,7 +51,9 @@ def pic_invariant(mu: Scalar, r, *, factors: Optional[Factors] = None) -> PicInv
     """
     r = as_ratfunc(r)
     if r.is_zero():
-        raise ValueError("invariants are defined for nonzero functions")
+        from .errors import InputError
+
+        raise InputError("invariants are defined for nonzero functions")
     table = _offset_multisets(r, factors=factors)
     counts = {rep: len(zeros) - len(poles) for rep, (zeros, poles) in table.items()}
     return PicInvariant(Fraction(mu), leading_ratio(r), _canonical_classes(counts))
@@ -111,7 +113,9 @@ def solve_mult_diff(f, *, factors: Optional[Factors] = None) -> Optional[RatFunc
     """
     f = as_ratfunc(f)
     if f.is_zero():
-        raise ValueError("the equation needs a nonzero right-hand side")
+        from .errors import InputError
+
+        raise InputError("the equation needs a nonzero right-hand side")
     if leading_ratio(f) != 1:
         return None
     table = _offset_multisets(f, factors=factors)
@@ -146,7 +150,9 @@ def _rank1_data(rep) -> Tuple[Fraction, RatFunc]:
     from .rep import casimir_level  # rep imports this module
 
     if rep.dim != 1:
-        raise ValueError("expected a one-dimensional module")
+        from .errors import InputError
+
+        raise InputError("expected a one-dimensional module")
     mu = casimir_level(rep)
     if mu is None:
         raise ValueError("one-dimensional module with non-constant Casimir")

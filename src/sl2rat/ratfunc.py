@@ -54,11 +54,7 @@ class RatFunc:
         if np.is_zero():
             self.num, self.den = Poly.zero(), Poly.one()
             return
-        if not (np.is_constant() or dp.is_constant()):
-            g = poly_gcd(np, dp)
-            if g.degree > 0:
-                np, dp = np // g, dp // g
-        self.num, self.den = _monic_den(np, dp)
+        self.num, self.den = _monic_den(*_cancel(np, dp))
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "RatFunc":

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
+    InputError,
     LevelMismatch,
     LevelOutsideBaseField,
     NonConstantMinpoly,
@@ -243,7 +244,7 @@ def rank1(mu: Scalar, r) -> RationalRep:
     """The one-dimensional module with raising matrix r(z)."""
     r = as_ratfunc(r)
     if r.is_zero():
-        raise ValueError("rank-1 modules need a nonzero rational function")
+        raise InputError("rank-1 modules need a nonzero rational function")
     pimu = RatFunc(pi_mu(mu))
     A = Mat([[pimu / r.shifted(-1)]])
     B = Mat([[r]])
@@ -278,14 +279,43 @@ def level_shift(rep: RationalRep, nu: Scalar) -> RationalRep:
 
 
 def cyclic_orbit(mu: Scalar, r, m: int) -> RatFunc:
-    """Coefficient of the m-th orbit vector of the cyclic generator w = 1."""
+    """Coefficient of the m-th orbit vector of the cyclic generator w = 1.
+
+    The coefficient is a product of |m| shifts of r (m >= 0) or of
+    xi = r / pi_mu(z + 1) (m < 0); InputError when it would pass the
+    parser's power bounds (`_check_orbit_size`).
+    """
     r = as_ratfunc(r)
     if r.is_zero():
-        raise ValueError("rank-1 modules need a nonzero rational function")
-    if m >= 0:
-        return pochhammer(r, m)
-    xi = r / RatFunc(pi_mu(mu).shifted(1))
-    return pochhammer(xi, m)
+        raise InputError("rank-1 modules need a nonzero rational function")
+    f = r if m >= 0 else r / RatFunc(pi_mu(mu).shifted(1))
+    _check_orbit_size(f, abs(m))
+    return pochhammer(f, m)
+
+
+def _check_orbit_size(f: RatFunc, k: int) -> None:
+    """InputError when k shifted products of f would pass the parser's power bounds.
+
+    The orbit is a product of k shifts f(z + j) with |j| <= k, checked like a
+    power before any product is formed.  Degree: k times the larger degree
+    of f, a constant counting as 1 since each of the k products is formed.
+    Coefficients: write f = (A/a) / (B/b) with A, B integer polynomials of
+    degree at most D and positive integers a, b, all of l1 norm at most 2^h
+    (`_log2_height`).  A shift by j multiplies an l1 norm by at most
+    (1 + |j|)^D, so both integer products have l1 norm at most 2^(k(h + DL))
+    with L = ceil(log2(k + 1)).  The reduced numerator and denominator are
+    integer factors of those products, of degree at most kD, so Mignotte's
+    factor bound keeps their coefficients under 2^(kD) times that norm; the
+    canonical form puts a^k or b^k and a leading coefficient over them,
+    which adds at most kh bits.  In all, at most k(2h + D(L + 1)) bits.
+    """
+    from .parser import MAX_DEGREE, MAX_POWER_BITS, _log2_height
+
+    degree = max(f.num.degree, f.den.degree)
+    if k * max(degree, 1) > MAX_DEGREE:
+        raise InputError(f"orbit of degree above {MAX_DEGREE}")
+    if k * (2 * _log2_height(f) + degree * (k.bit_length() + 1)) > MAX_POWER_BITS:
+        raise InputError(f"orbit with coefficients above {MAX_POWER_BITS} bits")
 
 
 # -- invariant subspaces, restriction, quotient ----------------------------------
@@ -442,13 +472,21 @@ def canonical_filtration(comp: LevelComponent) -> Filtration:
 _KINDS = ("I", "II", "III", "IV")
 
 
-def _split_pi_mu(mu: Fraction) -> Tuple[Poly, Poly]:
+def _families(mu: Fraction) -> Dict[str, RatFunc]:
+    """kind -> raising function r of the family at gamma = 1, in kind order.
+
+    The lowering function is pi_mu(z) / r(z - 1), the family being Casimir
+    of level mu.  II and III are there only when pi_mu = (z - alpha)(z - beta)
+    splits over Q, alpha the larger root.
+    """
+    families = {"I": RatFunc(pi_mu(mu).shifted(1))}
     roots = mu_roots(mu)
-    if roots is None:
-        raise PiMuIrreducible(f"z^2 - z - ({mu}) has no rational roots")
-    hi, lo = roots
-    z = Poly.variable()
-    return z - hi, z - lo  # (alpha, beta), larger root first
+    if roots is not None:
+        z = Poly.variable()
+        families["II"] = RatFunc((z - roots[0]).shifted(1))
+        families["III"] = RatFunc((z - roots[1]).shifted(1))
+    families["IV"] = RatFunc.one()
+    return families
 
 
 def poly_rank1(kind: str, mu: Scalar, gamma: Scalar) -> PolynomialRep:
@@ -459,18 +497,12 @@ def poly_rank1(kind: str, mu: Scalar, gamma: Scalar) -> PolynomialRep:
         raise ValueError("gamma must be nonzero")
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    pim = pi_mu(mu)
-    if kind == "I":
-        a, b = Poly.constant(1 / gamma), gamma * pim.shifted(1)
-    elif kind == "IV":
-        a, b = (1 / gamma) * pim, Poly.constant(gamma)
-    else:
-        alpha, beta = _split_pi_mu(mu)
-        if kind == "II":
-            a, b = (1 / gamma) * beta, gamma * alpha.shifted(1)
-        else:
-            a, b = (1 / gamma) * alpha, gamma * beta.shifted(1)
-    rep = PolynomialRep(1, Mat([[RatFunc(a)]]), Mat([[RatFunc(b)]]))
+    families = _families(mu)
+    if kind not in families:
+        raise PiMuIrreducible(f"z^2 - z - ({mu}) has no rational roots")
+    r = families[kind]
+    lowering = RatFunc(pi_mu(mu)) / (gamma * r.shifted(-1))
+    rep = PolynomialRep(1, Mat([[lowering]]), Mat([[gamma * r]]))
     validate_polynomial(rep)
     return rep
 
@@ -509,20 +541,11 @@ def classify_rank1(rep: RationalRep, *, factors: Optional[Factors] = None):
     `picard.pic_invariant`).
     """
     if rep.dim != 1:
-        raise ValueError("classification applies to one-dimensional modules")
+        raise InputError("classification applies to one-dimensional modules")
     mu = require_casimir(rep)
-    r = rep.B[0, 0]
-    inv = pic_invariant(mu, r, factors=factors)
-    bases = {"I": RatFunc(pi_mu(mu).shifted(1)), "IV": RatFunc.one()}
-    if mu_roots(mu) is not None:
-        alpha, beta = _split_pi_mu(mu)
-        bases["II"] = RatFunc(alpha.shifted(1))
-        bases["III"] = RatFunc(beta.shifted(1))
+    inv = pic_invariant(mu, rep.B[0, 0], factors=factors)
     matches = []
-    for kind in _KINDS:
-        base = bases.get(kind)
-        if base is None:
-            continue
+    for kind, base in _families(mu).items():
         base_inv = pic_invariant(mu, base)
         if base_inv.classes == inv.classes:
             matches.append((kind, inv.lead / base_inv.lead))

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     random_rank1_extension,
 )
 from sl2rat.errors import (
+    InputError,
     LevelMismatch,
     LevelOutsideBaseField,
     NotARepresentation,
@@ -23,11 +25,12 @@ from sl2rat.errors import (
     SingularOperator,
 )
 from sl2rat import k0
-from sl2rat.extension import ext_build
+from sl2rat.extension import ExtDatum, ext_build
 from sl2rat.factor import factor_poly
 from sl2rat.matrix import Mat
 from sl2rat.poly import Poly, pi_mu
-from sl2rat.ratfunc import RatFunc
+from sl2rat.picard import iso_rank1, pic_invariant, solve_mult_diff
+from sl2rat.ratfunc import RatFunc, pochhammer
 from sl2rat.rep import (
     Filtration,
     FiltrationStep,
@@ -209,6 +212,48 @@ def test_cyclic_orbit_spec_examples():
     assert cyclic_orbit(2, r, 0) == RatFunc.one()
     assert cyclic_orbit(Fraction(1, 3), RatFunc.one(), 2) == RatFunc.one()
     assert cyclic_orbit(0, RatFunc.one(), -1) == RatFunc(Poly((0, -1, 1)))
+    # m = +-50 is within the orbit bound
+    half = Z + Fraction(1, 2)
+    assert cyclic_orbit(0, half, 50) == pochhammer(half, 50)
+    assert cyclic_orbit(0, half, -50) == pochhammer(half / RatFunc(pi_mu(0).shifted(1)), -50)
+
+
+RANK1 = rank1(0, 1)
+DIM2 = direct_sum(RANK1, RANK1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: pic_invariant(0, 0), "invariants are defined for nonzero functions"),
+    (lambda: solve_mult_diff(0), "the equation needs a nonzero right-hand side"),
+    (lambda: iso_rank1(DIM2, RANK1), "expected a one-dimensional module"),
+    (lambda: iso_rank1(RANK1, DIM2), "expected a one-dimensional module"),
+    (lambda: rank1(0, 0), "rank-1 modules need a nonzero rational function"),
+    (lambda: cyclic_orbit(0, 0, 3), "rank-1 modules need a nonzero rational function"),
+    (lambda: classify_rank1(DIM2), "classification applies to one-dimensional modules"),
+    (lambda: ExtDatum(RANK1, RANK1, Mat([[0, 0]]), Mat([[0]])), "B1 must be 1x1"),
+    (lambda: ExtDatum(RANK1, DIM2, Mat([[0, 0]]), Mat([[0]])), "T must be 1x2"),
+], ids=[
+    "pic_invariant", "solve_mult_diff", "iso_rank1-first", "iso_rank1-second", "rank1",
+    "cyclic_orbit", "classify_rank1", "ExtDatum-B1", "ExtDatum-T",
+])
+def test_library_preconditions_raise_input_error(call, message):
+    # an InputError is also a ValueError, so callers that catch ValueError keep working
+    with pytest.raises(InputError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError) and str(exc.value) == message
+
+
+@pytest.mark.parametrize("r,m,message", [
+    (Z + Fraction(1, 2), 2000, "orbit of degree above 1000"),
+    (Z + Fraction(1, 2), -500, "orbit with coefficients above 10000 bits"),
+    (RatFunc.one(), 10 ** 9, "orbit of degree above 1000"),
+], ids=["2000", "minus-500-bits", "constant-1e9"])
+def test_cyclic_orbit_enforces_the_orbit_bound(r, m, message):
+    start = time.perf_counter()
+    with pytest.raises(InputError) as exc:
+        cyclic_orbit(0, r, m)
+    assert str(exc.value) == message
+    assert time.perf_counter() - start < 1.0  # refused before any product is formed
 
 
 def test_cyclic_orbit_is_operator_orbit():
